@@ -30,10 +30,18 @@ PIPELINE ?= 1
 
 .PHONY: build test race lint lint-json lint-sarif lint-debt lint-strict \
 	fuzz-short fmt-check bench-quick serve loadgen smoke chaos durability \
-	bench-server
+	bench-server bench-build
 
 build:
 	$(GO) build ./...
+
+# bench-build compiles and vets the benchmark's own module (bench/, which
+# `go build ./...` does not reach). bench/layers imports internal/
+# packages, so a changed signature there fails here instead of failing
+# the next benchmark run.
+bench-build:
+	GOWORK=off GOFLAGS=-buildvcs=false $(GO) build -C bench ./...
+	GOWORK=off GOFLAGS=-buildvcs=false $(GO) vet -C bench ./...
 
 test:
 	$(GO) test ./...

@@ -70,7 +70,8 @@ func (l *List[T]) CheckQuiescent() error {
 // Items returns a snapshot of the items currently in the list, in list
 // order, gathered with a cursor.
 func (l *List[T]) Items() []T {
-	c := l.NewCursor()
+	var c Cursor[T]
+	l.InitCursor(&c)
 	defer c.Close()
 	var items []T
 	for !c.End() {

@@ -18,6 +18,14 @@ import (
 // an epoch pin for its whole lifetime instead, which is what keeps the
 // cells behind its plain-loaded pointers from being recycled. Either way,
 // call Close when done with the cursor.
+//
+// A cursor is the process-private object of §2.2, so it normally lives in
+// its operation's frame: declare a Cursor variable, open it with
+// List.InitCursor or InitCursorAt, and defer Close. Nothing retains the
+// pointer, so the cursor costs no heap allocation. An operation that
+// visits several lists of one manager (the skip list's levels) moves its
+// one cursor between them with Seat and so pins one epoch, not one per
+// list.
 type Cursor[T any] struct {
 	list    *List[T]
 	target  *mm.Node[T]
@@ -30,20 +38,44 @@ type Cursor[T any] struct {
 // List returns the list this cursor traverses.
 func (c *Cursor[T]) List() *List[T] { return c.list }
 
-// Reset moves the cursor to the first position of the list, implementing
-// First (Figure 6).
-func (c *Cursor[T]) Reset() {
+// seat positions the cursor at the first normal cell at or after n, a
+// cell of c.list the caller safely holds. It is First (Figure 6) started
+// from n instead of the First dummy; every way of opening or moving a
+// cursor ends here.
+func (c *Cursor[T]) seat(n *mm.Node[T]) {
 	l := c.list
-	// refs: drop whatever the cursor held before.
-	l.release(c.preCell)
+	l.addRef(n)                     // refs: the cursor's own hold, duplicating the caller's
+	aux := l.safeRead(n.NextAddr()) // Fig 6 line 2
+	l.release(c.preCell)            // refs: drop whatever the cursor held before
 	l.release(c.preAux)
 	l.release(c.target)
+	c.preCell, c.preAux, c.target = n, aux, nil // Fig 6 lines 1, 3
+	c.update()                                  // Fig 6 line 4
+}
 
-	c.preCell = l.first                       // Fig 6 line 1; the root pointer never changes,
-	l.addRef(c.preCell)                       // so SafeRead(First) is a plain counted copy
-	c.preAux = l.safeRead(l.first.NextAddr()) // Fig 6 line 2
-	c.target = nil                            // Fig 6 line 3
-	c.update()                                // Fig 6 line 4
+// Reset moves the cursor to the first position of the list, implementing
+// First (Figure 6); the root pointer never changes, so SafeRead(First) is
+// a plain counted copy.
+func (c *Cursor[T]) Reset() { c.seat(c.list.first) }
+
+// Seat moves the cursor onto list l, to the first normal cell at or after
+// n (a cell of l the caller safely holds, possibly deleted — see
+// InitCursorAt) or to l's first position when n is nil. l must allocate
+// from the same manager as the cursor's current list: the cursor's
+// references and its epoch pin belong to the manager, so the pin taken
+// when the cursor was opened keeps covering it, and cells read on the old
+// list stay readable until Close.
+//
+// Seat runs the yield hook first: between the caller obtaining n and the
+// cursor resuming from it, a concurrent deletion can unlink and retire n,
+// and the schedule explorer must be able to put one there.
+func (c *Cursor[T]) Seat(l *List[T], n *mm.Node[T]) {
+	c.list = l
+	if n == nil {
+		n = l.first
+	}
+	l.maybeYield()
+	c.seat(n)
 }
 
 // Close releases the cursor's references and its epoch pin. The cursor

@@ -224,33 +224,48 @@ func (l *List[T]) First() *mm.Node[T] { return l.first }
 // Last returns the dummy tail cell.
 func (l *List[T]) Last() *mm.Node[T] { return l.last }
 
-// NewCursor returns a cursor visiting the first item of the list (or the
-// end-of-list position if the list is empty), per §2.1: "When a new cursor
-// is created, it is visiting the first item in the list."
+// InitCursor opens a cursor in caller-provided storage, visiting the first
+// item of the list (or the end-of-list position if the list is empty), per
+// §2.1: "When a new cursor is created, it is visiting the first item in
+// the list." Whatever c held before is overwritten, not released.
+func (l *List[T]) InitCursor(c *Cursor[T]) { l.InitCursorAt(c, l.first) }
+
+// InitCursorAt opens a cursor in caller-provided storage, positioned at
+// the first normal cell at or after the given cell, which must belong to
+// this list and be safely held by the caller (a counted reference under
+// mm.RC, an enclosing epoch pin under mm.EBR). The cell may have been
+// deleted: its next pointer is preserved (§2.2), so the cursor lands on
+// the closest live position after it.
+func (l *List[T]) InitCursorAt(c *Cursor[T], n *mm.Node[T]) {
+	*c = Cursor[T]{list: l}
+	c.guard, c.pinned = l.pin() // EBR: before any plain load of shared links
+	c.seat(n)
+}
+
+// NewCursor is InitCursor into a fresh heap cursor, for callers that keep
+// the cursor beyond one frame.
 func (l *List[T]) NewCursor() *Cursor[T] {
-	c := &Cursor[T]{list: l}
-	c.guard, c.pinned = l.pin() // EBR: the pin replaces per-hop SafeRead references
-	c.Reset()
+	c := new(Cursor[T])
+	l.InitCursor(c)
 	return c
 }
 
-// CursorAt returns a cursor positioned at the first normal cell at or
-// after the given cell, which must belong to this list and be safely held
-// by the caller (a counted reference under mm.RC). The cell may have been
-// deleted: its next pointer is preserved (§2.2), so the cursor lands on
-// the closest live position after it. Higher-level structures use this to
-// resume a search from a known vantage point — the skip list descends a
-// level this way.
+// CursorAt is InitCursorAt into a fresh heap cursor.
 func (l *List[T]) CursorAt(n *mm.Node[T]) *Cursor[T] {
-	c := &Cursor[T]{list: l}
-	c.guard, c.pinned = l.pin() // before any plain load of shared links
-	c.preCell = n
-	l.addRef(n) // refs: the cursor's own hold, duplicating the caller's
-	c.preAux = l.safeRead(n.NextAddr())
-	c.target = nil
-	c.update()
+	c := new(Cursor[T])
+	l.InitCursorAt(c, n)
 	return c
 }
+
+// Hold and Unhold are the traversal-reference family (see safeRead above)
+// for a caller that keeps a cell it reached through a cursor after the
+// cursor has moved on — the skip list's per-level predecessors. Counted
+// under mm.RC; no-ops under mm.GC and under mm.EBR, where the cell stays
+// readable until the pin of the cursor that reached it is dropped.
+func (l *List[T]) Hold(n *mm.Node[T]) { l.addRef(n) }
+
+// Unhold gives up a reference taken with Hold.
+func (l *List[T]) Unhold(n *mm.Node[T]) { l.release(n) }
 
 // Close releases the list's root references. Under mm.RC this reclaims
 // every cell still in the list (the release of First cascades down the
@@ -266,7 +281,8 @@ func (l *List[T]) Close() {
 // Len counts the items currently in the list by traversing it with a
 // cursor. It is linear and, under concurrent updates, only a snapshot.
 func (l *List[T]) Len() int {
-	c := l.NewCursor()
+	var c Cursor[T]
+	l.InitCursor(&c)
 	defer c.Close()
 	n := 0
 	for !c.End() {

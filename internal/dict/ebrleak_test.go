@@ -114,28 +114,10 @@ func TestEBRLeakAccountingHash(t *testing.T) {
 	h := dict.NewHash[int, int](buckets, mm.ModeEBR, dict.HashInt)
 	cfg := churnEBR(h)
 	n := surviving(h, cfg.KeySpace)
-	// Each bucket has its own manager; quiesce them all, then check the
-	// summed stats: per-bucket skeleton of 3 plus 2 cells per key.
-	for i := 0; i < buckets; i++ {
-		q := ebrManager(t, h.Bucket(i).List().Manager())
-		q.ForceAdvance()
-		if !q.Quiesce() {
-			t.Fatalf("bucket %d: limbo did not drain: %d cells", i, q.LimboLen())
-		}
-	}
-	if got, want := h.MemStats().Live(), int64(3*buckets)+2*n; got != want {
-		t.Fatalf("live cells = %d, want %d for %d surviving keys", got, want, n)
-	}
-	h.Close()
-	for i := 0; i < buckets; i++ {
-		q := ebrManager(t, h.Bucket(i).List().Manager())
-		if !q.Quiesce() {
-			t.Fatalf("bucket %d: limbo did not drain after Close", i)
-		}
-	}
-	if got := h.MemStats().Live(); got != 0 {
-		t.Fatalf("live cells after Close+Quiesce = %d, want 0 — leaked", got)
-	}
+	// The buckets share one manager (any bucket's handle reaches it):
+	// per-bucket skeleton of 3 plus 2 cells per key.
+	q := ebrManager(t, h.Bucket(0).List().Manager())
+	drainAndCheck(t, q, h.MemStats, int64(3*buckets)+2*n, h.Close)
 	checkGoroutines(t, base)
 }
 

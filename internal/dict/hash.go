@@ -13,6 +13,7 @@ import (
 // list. With a hash function that spreads operations evenly, the expected
 // extra work per operation is O(1) — experiment E4 measures this.
 type Hash[K cmp.Ordered, V any] struct {
+	manager mm.Manager[Entry[K, V]] // one reclamation domain for every bucket
 	buckets []*SortedList[K, V]
 	hash    func(K) uint64
 }
@@ -22,17 +23,20 @@ var _ Dictionary[int, int] = (*Hash[int, int])(nil)
 // NewHash returns a hash dictionary with nbuckets buckets using the given
 // hash function. The bucket count is fixed for the structure's lifetime
 // (the paper's structure does not resize). nbuckets must be positive.
-// RC options are forwarded to every bucket's manager (see NewSortedList).
+// All buckets allocate from one manager, as the skip list's levels do, so
+// the table has one free list and, under mm.ModeEBR, one epoch domain; RC
+// options configure it as in NewSortedList.
 func NewHash[K cmp.Ordered, V any](nbuckets int, mode mm.Mode, hash func(K) uint64, opts ...mm.RCOption) *Hash[K, V] {
 	if nbuckets < 1 {
 		nbuckets = 1
 	}
 	h := &Hash[K, V]{
+		manager: mm.NewManager[Entry[K, V]](mode, opts...),
 		buckets: make([]*SortedList[K, V], nbuckets),
 		hash:    hash,
 	}
 	for i := range h.buckets {
-		h.buckets[i] = NewSortedList[K, V](mode, opts...)
+		h.buckets[i] = &SortedList[K, V]{list: core.New(h.manager)}
 	}
 	return h
 }
@@ -61,14 +65,9 @@ func (h *Hash[K, V]) Len() int {
 	return n
 }
 
-// MemStats sums the §5 memory-manager allocation counters across buckets.
-func (h *Hash[K, V]) MemStats() mm.Stats {
-	var total mm.Stats
-	for _, b := range h.buckets {
-		total.Add(b.MemStats())
-	}
-	return total
-}
+// MemStats returns the allocation counters of the §5 memory manager all
+// buckets share.
+func (h *Hash[K, V]) MemStats() mm.Stats { return h.manager.Stats() }
 
 // EnableStats turns on extra-work counters on every bucket.
 func (h *Hash[K, V]) EnableStats() {
@@ -87,7 +86,8 @@ func (h *Hash[K, V]) SetYieldHook(f func()) {
 }
 
 // Bucket returns bucket i (modulo the bucket count), for tests that
-// assert per-bucket structural invariants; compare SkipList.Level.
+// assert per-bucket structural invariants; compare SkipList.Level. The
+// bucket's MemStats are the shared manager's, so dictionary-wide.
 func (h *Hash[K, V]) Bucket(i int) *SortedList[K, V] {
 	return h.buckets[i%len(h.buckets)]
 }

@@ -73,9 +73,10 @@ func findFrom[K cmp.Ordered, V any](k K, c *core.Cursor[Entry[K, V]]) bool {
 
 // Find reports the value stored under key.
 func (s *SortedList[K, V]) Find(key K) (V, bool) {
-	c := s.list.NewCursor()
+	var c core.Cursor[Entry[K, V]]
+	s.list.InitCursor(&c)
 	defer c.Close()
-	if !findFrom(key, c) {
+	if !findFrom(key, &c) {
 		var zero V
 		return zero, false
 	}
@@ -88,7 +89,8 @@ func (s *SortedList[K, V]) Find(key K) (V, bool) {
 // Insert implements Insert (Figure 12). It returns false if an item with
 // the key is already present.
 func (s *SortedList[K, V]) Insert(key K, value V) bool {
-	c := s.list.NewCursor() // Fig 12 line 1
+	var c core.Cursor[Entry[K, V]]
+	s.list.InitCursor(&c) // Fig 12 line 1
 	defer c.Close()
 	q, a := s.list.AllocInsertNodes(Entry[K, V]{Key: key, Value: value}) // Fig 12 lines 2-4
 	if q == nil {
@@ -96,7 +98,7 @@ func (s *SortedList[K, V]) Insert(key K, value V) bool {
 	}
 	backoff := primitive.Backoff{Disabled: s.noBackoff}
 	for {
-		if findFrom(key, c) { // Fig 12 lines 5-7: key already present
+		if findFrom(key, &c) { // Fig 12 lines 5-7: key already present
 			s.list.ReleaseNodes(q, a)
 			return false
 		}
@@ -114,11 +116,12 @@ func (s *SortedList[K, V]) Insert(key K, value V) bool {
 // Delete implements Delete (Figure 13). It returns false if no item with
 // the key is present.
 func (s *SortedList[K, V]) Delete(key K) bool {
-	c := s.list.NewCursor() // Fig 13 line 1
+	var c core.Cursor[Entry[K, V]]
+	s.list.InitCursor(&c) // Fig 13 line 1
 	defer c.Close()
 	backoff := primitive.Backoff{Disabled: s.noBackoff}
 	for {
-		if !findFrom(key, c) { // Fig 13 lines 2-4
+		if !findFrom(key, &c) { // Fig 13 lines 2-4
 			return false
 		}
 		if c.TryDelete() { // Fig 13 lines 5-7
@@ -143,7 +146,8 @@ func (s *SortedList[K, V]) Len() int { return s.list.Len() }
 // package comment), so Range skips any item whose key is not greater than
 // the last one reported, guaranteeing monotone output.
 func (s *SortedList[K, V]) Range(f func(key K, value V) bool) {
-	c := s.list.NewCursor()
+	var c core.Cursor[Entry[K, V]]
+	s.list.InitCursor(&c)
 	defer c.Close()
 	first := true
 	var last K
@@ -166,9 +170,10 @@ func (s *SortedList[K, V]) Range(f func(key K, value V) bool) {
 // positions the cursor (Figure 11 leaves it exactly there on a miss) and
 // iteration proceeds with the same monotonicity filter as Range.
 func (s *SortedList[K, V]) RangeFrom(start K, f func(key K, value V) bool) {
-	c := s.list.NewCursor()
+	var c core.Cursor[Entry[K, V]]
+	s.list.InitCursor(&c)
 	defer c.Close()
-	findFrom(start, c)
+	findFrom(start, &c)
 	first := true
 	var last K
 	for !c.End() {

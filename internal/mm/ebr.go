@@ -91,9 +91,15 @@ type Quiescer interface {
 // a stale pointer may store a *new* counted link to an already-retired
 // cell (TryDelete's back_link store is the real case). Stores bump the
 // count before publishing the pointer, so the drain re-checks the count
-// and requeues any resurrected cell instead of freeing it; the claim bit
-// (set exactly once, at retire) keeps the later count-zero Release from
-// retiring it a second time.
+// and requeues any resurrected cell instead of freeing it. A resurrected
+// cell's grace period must also start over when that link is dropped
+// again — goroutines that pinned after the cell first retired can have
+// read it — so the claim word has three states under EBR (claimLive,
+// claimLimbo, claimTouched): a Release of a cell that sits in limbo marks
+// it touched before lowering the count, and the drain requeues a touched
+// cell, as it does a referenced one, into the current epoch's bucket.
+// The claim word leaves claimLive exactly once per life of the cell, at
+// its first count-zero Release, so a cell is never on two limbo lists.
 //
 // Allocation reuses the RC manager's striped free list verbatim — pops
 // are protected by the §5.1 transient-SafeRead argument, so Alloc needs
@@ -118,9 +124,18 @@ var _ Quiescer = (*EBR[int])(nil)
 // options configure the underlying striped free list exactly as in NewRC.
 func NewEBR[T any](opts ...RCOption) *EBR[T] {
 	m := &EBR[T]{fl: NewRC[T](opts...)}
+	m.fl.drop = m.Release // an allocator's transient reference retires through limbo too
 	m.epoch.Store(1)
 	return m
 }
+
+// States of a cell's claim word under EBR (RC uses only the first two, as
+// Figure 16's claim bit).
+const (
+	claimLive    = 0 // allocated and not retired
+	claimLimbo   = 1 // free, or retired and waiting on a limbo list
+	claimTouched = 2 // on a limbo list and released since it was queued there
+)
 
 // SetReclaimExtractor mirrors RC.SetReclaimExtractor: the extractor's
 // references are released when a retired cell's grace period expires and
@@ -165,9 +180,20 @@ func (m *EBR[T]) AddRef(n *Node[T]) {
 // RC.Release the cell's own next/back_link references are NOT dropped
 // here — pinned traversals may still be walking through the deleted cell,
 // so the links stay readable until the drain actually frees it.
+//
+// Dropping a reference to a cell that is already in limbo (a resurrected
+// cell losing its new link) restarts its grace period: whoever read that
+// link may still be using the cell. The mark is made before the count
+// falls, so a drain that sees the count at zero because of this Release
+// also sees the mark.
 func (m *EBR[T]) Release(n *Node[T]) {
 	if n == nil {
 		return
+	}
+	if n.claim.Load() != claimLive {
+		// Compare&Swap, not a store: an allocator may be taking the cell
+		// off the free list this instant and resetting the word.
+		n.claim.CompareAndSwap(claimLimbo, claimTouched)
 	}
 	c := n.refct.Add(-1)
 	switch {
@@ -176,7 +202,7 @@ func (m *EBR[T]) Release(n *Node[T]) {
 	case c < 0:
 		panic(fmt.Sprintf("mm: reference count of %s cell went negative (%d)", n.kind, c))
 	}
-	if primitive.TestAndSet(&n.claim) == 1 {
+	if !n.claim.CompareAndSwap(claimLive, claimLimbo) {
 		// Already retired once (a resurrected cell dropping back to zero,
 		// or a concurrent count-zero observer won): the limbo drain owns it.
 		return
@@ -235,11 +261,15 @@ func (m *EBR[T]) Unpin(g Guard) {
 	if g.slot == nil {
 		return
 	}
-	g.slot.state.Store(0)
+	m.leave(g)
 	if m.limboCount.Load() > 0 {
 		m.tryAdvance()
 	}
 }
+
+// leave frees the guard's slot; it is Unpin without the advancement
+// attempt, for the advancer's own pin.
+func (m *EBR[T]) leave(g Guard) { g.slot.state.Store(0) }
 
 // claimSlot finds a free epoch slot, appending a new bank when every
 // existing slot is pinned. The claiming CAS installs the current epoch as
@@ -282,35 +312,48 @@ func (m *EBR[T]) allObserved(e int64) bool {
 
 // tryAdvance advances the global epoch from e to e+1 when every pinned
 // goroutine has observed e, and the advancement winner drains the bucket
-// of cells retired at epoch e-2: any goroutine that could still reach one
-// of those cells was pinned with a slot ≤ e-2, and the advancement to e
+// of cells retired at e-2: any goroutine that could still reach one of
+// those cells was pinned with a slot ≤ e-2, and the advancement to e
 // already required that slot to be gone.
+//
+// The winner holds a pin of its own, taken at e, until the drain is done.
+// Bucket (e+2) mod 4 is also where retires tagged e+2 will land, so it
+// must be detached before the epoch can reach e+2 — which the pin at e
+// prevents — or a slow winner would free cells retired an instant ago.
+// The same pin covers the drain's cascade: freeing a cell releases the
+// links it held, which retires further cells, and like every retire those
+// must not straddle two advancements.
 func (m *EBR[T]) tryAdvance() {
 	e := m.epoch.Load()
 	if !m.allObserved(e) {
 		return
 	}
+	g := m.Pin()
 	m.fl.maybeYield()
 	if m.epoch.CompareAndSwap(e, e+1) {
 		m.advances.Add(1)
 		m.drain(int((e + 2) % limboBuckets)) // the bucket cells retired at e-2 landed in
 	}
+	m.leave(g) // not Unpin, which would come back here
 }
 
 // drain detaches one limbo bucket and disposes of every cell on it: cells
 // whose count is still zero are freed into the striped free list — now
 // releasing the counted references their next/back_link/item fields hold,
-// exactly as RC's Reclaim cascade does — and resurrected cells (count
-// bumped by a pinned goroutine that stored a new link before the grace
-// period expired) are requeued into the current bucket to be examined
-// again a full round later.
+// exactly as RC's Reclaim cascade does — and cells that were resurrected
+// (count bumped by a pinned goroutine that stored a new link before the
+// grace period expired) or touched (such a link dropped again since the
+// cell was queued) are requeued into the current bucket to be examined
+// again a full round later. The count is read before the mark; see
+// Release.
 func (m *EBR[T]) drain(bucket int) {
 	n := m.limbo[bucket].Swap(nil)
 	for n != nil {
 		next := n.limbo.Swap(nil)
-		if n.refct.Load() != 0 {
+		if n.refct.Load() != 0 || n.claim.Load() == claimTouched {
+			n.claim.Store(claimLimbo)
 			m.limboCount.Add(-1)
-			m.pushLimbo(n) // resurrected: still referenced, free it later
+			m.pushLimbo(n) // still referenced, or its grace period restarted
 		} else {
 			m.free(n)
 		}

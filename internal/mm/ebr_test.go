@@ -1,7 +1,9 @@
 package mm
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"valois/internal/testenv"
@@ -272,6 +274,156 @@ func TestEBRChurnRace(t *testing.T) {
 	}
 	if s.Limbo != 0 {
 		t.Fatalf("limbo gauge = %d, want 0", s.Limbo)
+	}
+}
+
+// TestEBRPinnedReadersNeverSeeReuse is the grace period as readers
+// experience it: writers keep replacing the cell behind one shared counted
+// link — each replaced cell retires at once — and every goroutine forces
+// advancement as fast as it can, while readers pin, load the link, and
+// watch the cell they got. A cell handed back to the free list while a
+// reader that could reach it is still pinned comes out of the next Alloc
+// with its item zeroed and rewritten, which the reader sees (and the race
+// detector reports). The window it guards is narrow — an advancement
+// winner stopped between its Compare&Swap and the detaching of its bucket
+// while one more advancement and a retire go by — so this is a soak, not
+// a reproducer; the skip list's leak-accounting churn
+// (internal/dict/ebrleak_test.go) is what first hit it.
+func TestEBRPinnedReadersNeverSeeReuse(t *testing.T) {
+	m := NewEBR[int]()
+	var link atomic.Pointer[Node[int]]
+	var serial atomic.Int64
+	publish := func() {
+		n := m.Alloc()
+		n.Item = int(serial.Add(1))
+		old := link.Swap(n) // the allocation reference becomes the link's
+		m.Release(old)      // last reference: retires
+	}
+	publish()
+
+	const writers, readers = 3, 3
+	iters := testenv.Iters(60000)
+	var wg sync.WaitGroup
+	var failed atomic.Bool
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < iters && !failed.Load(); i++ {
+				g := m.Pin() // an operation retires inside its pin
+				publish()
+				m.Unpin(g)
+				m.ForceAdvance()
+			}
+		}()
+	}
+	// Collections stop goroutines at arbitrary instructions — between an
+	// advancement and its drain, say — and restart them in another order.
+	stopGC := make(chan struct{})
+	gcDone := make(chan struct{})
+	go func() {
+		defer close(gcDone)
+		for {
+			select {
+			case <-stopGC:
+				return
+			default:
+				runtime.GC()
+			}
+		}
+	}()
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < iters && !failed.Load(); i++ {
+				g := m.Pin()
+				n := link.Load()
+				want := n.Item
+				for spin := 0; spin < 4; spin++ {
+					runtime.Gosched()
+					if got := n.Item; got != want {
+						failed.Store(true)
+						t.Errorf("cell recycled under a pinned reader: item %d became %d", want, got)
+						break
+					}
+				}
+				m.Unpin(g)
+			}
+		}()
+	}
+	wg.Wait()
+	close(stopGC)
+	<-gcDone
+	m.Release(link.Swap(nil))
+	if !m.Quiesce() {
+		t.Fatalf("Quiesce failed; limbo = %d", m.LimboLen())
+	}
+	if live := m.Stats().Live(); live != 0 {
+		t.Fatalf("live after churn = %d, want 0", live)
+	}
+}
+
+// TestEBRTouchedCellRestartsGracePeriod: a resurrected cell's new link is
+// readable by goroutines that pinned long after the cell first retired, so
+// when that link is dropped the cell must wait out a fresh grace period —
+// not be freed by the next drain of whatever bucket its last requeue left
+// it in.
+func TestEBRTouchedCellRestartsGracePeriod(t *testing.T) {
+	// Whichever bucket the requeues have left the cell in when the link
+	// is dropped — one case per phase of the rotation.
+	for advances := 4; advances < 4+2*limboBuckets; advances++ {
+		m := NewEBR[int]()
+		g := m.Pin()
+		n := m.Alloc()
+		n.Item = 7
+		m.Release(n) // retired; the raw pointer stays ours under the pin
+		m.AddRef(n)  // resurrected by a new stored link
+		m.Unpin(g)
+		for i := 0; i < advances; i++ {
+			m.ForceAdvance() // requeued while referenced
+		}
+
+		reader := m.Pin() // pinned epochs after the retire; reads the new link
+		m.Release(n)      // the link is dropped while the reader uses the cell
+		for i := 0; i < 16; i++ {
+			m.ForceAdvance()
+		}
+		if got := m.Stats().Reclaims; got != 0 || n.Item != 7 {
+			t.Fatalf("after %d advancements: touched cell freed under a reader pinned before its last reference was dropped (reclaims %d, item %d)",
+				advances, got, n.Item)
+		}
+		m.Unpin(reader)
+		if !m.Quiesce() {
+			t.Fatalf("Quiesce failed; limbo = %d", m.LimboLen())
+		}
+		if s := m.Stats(); s.Reclaims != 1 || s.Live() != 0 {
+			t.Fatalf("reclaims = %d live = %d, want exactly 1 and 0", s.Reclaims, s.Live())
+		}
+	}
+}
+
+// TestEBRAllocatorTransientRetiresThroughLimbo: Figure 17's pop bumps the
+// count of the free-list head before re-checking it, and an allocator that
+// loses that race gives the bump back. If the cell was meanwhile
+// allocated, published and unlinked, that give-back is its last reference
+// — and it must retire the cell, not reclaim it on the spot as RC would.
+func TestEBRAllocatorTransientRetiresThroughLimbo(t *testing.T) {
+	m := NewEBR[int]()
+	n := m.Alloc()
+	n.refct.Add(1) // a stalled allocator's transient SafeRead bump
+	reader := m.Pin()
+	m.Release(n) // the owner's reference: the transient keeps the count up
+	m.fl.drop(n) // the stalled allocator resumes and undoes its bump
+	if got := m.Stats().Reclaims; got != 0 {
+		t.Fatalf("transient release reclaimed the cell at once (reclaims = %d), bypassing limbo", got)
+	}
+	if got := m.LimboLen(); got != 1 {
+		t.Fatalf("limbo = %d, want 1", got)
+	}
+	m.Unpin(reader)
+	if !m.Quiesce() || m.Stats().Live() != 0 {
+		t.Fatalf("cell not reclaimed after the grace period: limbo %d, live %d", m.LimboLen(), m.Stats().Live())
 	}
 }
 

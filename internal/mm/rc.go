@@ -89,6 +89,14 @@ type RC[T any] struct {
 	noBackoff bool
 	yield     func() // see SetYieldHook
 	extract   func(item T) (first, second *Node[T])
+
+	// drop gives back a transient SafeRead reference (Figure 15's undo,
+	// Figure 17 line 6). It is Release, except when the free list serves
+	// the EBR manager: the transient may turn out to be the last reference
+	// to a cell that was allocated, published and unlinked meanwhile, and
+	// such a cell must retire through EBR's limbo, not be reclaimed under
+	// the feet of pinned readers.
+	drop func(*Node[T])
 }
 
 var _ Manager[int] = (*RC[int])(nil)
@@ -192,13 +200,15 @@ func NewRC[T any](opts ...RCOption) *RC[T] {
 			stride = maxCellStride
 		}
 	}
-	return &RC[T]{
+	m := &RC[T]{
 		stripes:   make([]stripe[T], options.stripes),
 		capacity:  options.capacity,
 		batch:     options.batch,
 		stride:    stride,
 		noBackoff: !options.backoff,
 	}
+	m.drop = m.Release
+	return m
 }
 
 // NumStripes reports how many free-list stripes the manager was built with.
@@ -330,7 +340,7 @@ func (m *RC[T]) pop(s *stripe[T]) *Node[T] {
 			s.pops.Add(1)
 			return q
 		}
-		m.Release(q)   // Fig 17 line 6
+		m.drop(q)      // Fig 17 line 6
 		backoff.Wait() // §2.1: back off instead of re-colliding immediately
 	}
 }
@@ -348,7 +358,7 @@ func (m *RC[T]) SafeRead(p *atomic.Pointer[Node[T]]) *Node[T] {
 		if q == p.Load() {
 			return q
 		}
-		m.Release(q)
+		m.drop(q)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"valois/internal/core"
 	"valois/internal/mm"
 	"valois/internal/sched"
+	"valois/internal/skiplist"
 )
 
 // These scenarios turn the epoch-based reclamation protocol's safety
@@ -237,4 +238,97 @@ func TestExhaustiveEBRTwoWritersDifferentEpochs(t *testing.T) {
 		t.Fatal("exploration truncated; raise the cap")
 	}
 	t.Logf("two writers, pinned reader: %d schedules, ≤%d decisions", res.Schedules, res.MaxDecisions)
+}
+
+// TestExhaustiveEBRSkipListPinnedDescent explores the one-pin-per-operation
+// rule of the skip list: a Find pins once and carries raw, uncounted
+// pointers from level to level (the predecessor it stopped behind and that
+// cell's Down pointer), while a Delete tears down exactly that predecessor
+// tower and forces epoch advancement, and an Insert allocates — from the
+// free list, so a tower cell freed too early would come back as the new
+// key. Find(30) descends through 20's tower; if the cell it resumes from
+// on the bottom level had been recycled into key 40 it would stop there
+// and miss 30, which never leaves the structure.
+func TestExhaustiveEBRSkipListPinnedDescent(t *testing.T) {
+	var s *skiplist.SkipList[int, int]
+	var found, deleted, inserted bool
+	var value int
+	recycled := 0 // schedules in which the Insert ran after cells were reclaimed
+	build := func(yield func()) sched.Scenario {
+		// One stripe makes the free list a single LIFO: a freed cell is
+		// the very next one allocated. The seed gives 20 a two-level tower.
+		s = skiplist.New[int, int](mm.ModeEBR, skiplist.WithMaxLevel(2), skiplist.WithSeed(5),
+			skiplist.WithRCOptions(mm.WithStripes(1)))
+		s.Insert(10, 10)
+		s.Insert(20, 20)
+		s.Insert(30, 30)
+		if top := s.Level(1).Len(); top != 1 {
+			panic(fmt.Sprintf("fixture: %d index cells on level 1, want only 20's", top))
+		}
+		if _, ok := s.Find(20); !ok {
+			panic("fixture: 20 missing")
+		}
+		q := s.Level(0).Manager().(mm.Quiescer)
+		s.SetYieldHook(yield)
+		found, deleted, inserted, value = false, false, false, 0
+		return sched.Scenario{
+			Threads: []func(){
+				func() { value, found = s.Find(30) },
+				func() {
+					deleted = s.Delete(20)
+					// The tower's bottom cell is retired only once the
+					// index cell holding its Down reference is freed, and
+					// freed two advancements after that.
+					for i := 0; i < 8; i++ {
+						q.ForceAdvance()
+					}
+				},
+				func() {
+					if s.MemStats().Reclaims > 0 {
+						recycled++
+					}
+					inserted = s.Insert(40, 40)
+				},
+			},
+			Check: func() error {
+				s.SetYieldHook(nil)
+				if !found || value != 30 {
+					return fmt.Errorf("Find(30) = %d, %v: the pinned descent lost a key that never left", value, found)
+				}
+				if !deleted || !inserted {
+					return fmt.Errorf("Delete(20) = %v, Insert(40) = %v, want both true", deleted, inserted)
+				}
+				for k, want := range map[int]bool{10: true, 20: false, 30: true, 40: true} {
+					if v, ok := s.Find(k); ok != want || (ok && v != k) {
+						return fmt.Errorf("Find(%d) = %d, %v; want present=%v", k, v, ok, want)
+					}
+				}
+				for i := 0; i < s.Levels(); i++ {
+					if err := s.Level(i).CheckQuiescent(); err != nil {
+						return fmt.Errorf("level %d: %w", i, err)
+					}
+				}
+				s.Close()
+				if !q.Quiesce() {
+					return fmt.Errorf("ebr limbo did not drain: %d cells", q.LimboLen())
+				}
+				if live := s.MemStats().Live(); live != 0 {
+					return fmt.Errorf("live cells after Close+Quiesce = %d, want 0", live)
+				}
+				return nil
+			},
+		}
+	}
+	res, err := sched.Explore(sched.Options{MaxSchedules: 2_000_000}, build)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Truncated {
+		t.Fatal("exploration truncated; raise the cap")
+	}
+	t.Logf("pinned descent vs tower delete vs recycling insert: %d schedules, ≤%d decisions, %d with reclaimed cells before the Insert",
+		res.Schedules, res.MaxDecisions, recycled)
+	if recycled == 0 {
+		t.Fatal("no schedule reclaimed a cell before the Insert; the scenario does not exercise recycling")
+	}
 }

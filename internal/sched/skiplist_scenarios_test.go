@@ -137,3 +137,56 @@ func TestExhaustiveSkipListDeleteMinRace(t *testing.T) {
 		t.Logf("skiplist DeleteMin race: %d schedules, ≤%d decisions", exp.Schedules, exp.MaxDecisions)
 	})
 }
+
+// TestExhaustiveSkipListInsertVsDelete races the insertion of a key whose
+// tower spans two levels against a deletion of the same key. When the
+// deletion finds the new bottom cell, the insertion may still be building
+// the tower; whichever way the two interleave, no index cell may be left
+// behind for a key the bottom level no longer holds (it would keep the
+// dead bottom cell, and whatever is chained behind it, from being
+// reclaimed until the key's next deletion).
+func TestExhaustiveSkipListInsertVsDelete(t *testing.T) {
+	skipModes(t, func(t *testing.T, mode mm.Mode) {
+		var s *skiplist.SkipList[int, int]
+		var inserted, deleted bool
+		build := func(yield func()) sched.Scenario {
+			// With this seed the second insertion draws a two-level tower.
+			s = skiplist.New[int, int](mode, skiplist.WithMaxLevel(2), skiplist.WithSeed(5))
+			s.Insert(10, 10)
+			s.SetYieldHook(yield)
+			inserted, deleted = false, false
+			return sched.Scenario{
+				Threads: []func(){
+					func() { inserted = s.Insert(20, 20) },
+					func() { deleted = s.Delete(20) },
+				},
+				Check: func() error {
+					s.SetYieldHook(nil)
+					if !inserted {
+						return fmt.Errorf("Insert(20) of an absent key returned false")
+					}
+					if _, present := s.Find(20); present == deleted {
+						return fmt.Errorf("present=%v but deleted=%v", present, deleted)
+					}
+					if got, want := s.Level(1).Len(), 1; deleted && got != 0 || !deleted && got != want {
+						return fmt.Errorf("deleted=%v but level 1 holds %d index cells", deleted, got)
+					}
+					for i := 0; i < s.Levels(); i++ {
+						if err := s.Level(i).CheckQuiescent(); err != nil {
+							return fmt.Errorf("level %d: %w", i, err)
+						}
+					}
+					return nil
+				},
+			}
+		}
+		res, err := sched.Explore(sched.Options{MaxSchedules: 400_000}, build)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Truncated {
+			t.Fatal("exploration truncated; raise the cap")
+		}
+		t.Logf("skiplist insert vs delete: %d schedules, ≤%d decisions", res.Schedules, res.MaxDecisions)
+	})
+}

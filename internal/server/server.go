@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -595,24 +594,70 @@ func (s *Server) Stats() []Stat {
 	return stats
 }
 
-// rangeMerged collects up to count items with key ≥ start across all
-// shards and merges them into global key order (each shard is
-// independently sorted; the merge re-establishes the total order).
+// rangeMerged returns the count smallest items with key ≥ start across all
+// shards, in key order; count ≥ 1 (proto rejects anything else). Each
+// shard is independently sorted and a key lives in exactly one shard, so
+// the scan carries one max-heap of at most count candidates across the
+// shards: once it is full, an item enters only by evicting the largest
+// candidate, and a shard's scan stops at its first key that cannot — every
+// later key of that shard is larger still. On hash-spread keys that
+// visits about count·H(shards) items, not count·shards, each for
+// O(log count); the heap grows with the items found, never from the
+// client's count. (The heap is hand-rolled because container/heap would
+// box every kv it is handed.)
 func (s *Server) rangeMerged(start string, count int) []kv {
-	var all []kv
+	var h []kv // max-heap on key
+	visit := func(k string, v []byte) bool {
+		switch {
+		case len(h) < count:
+			h = append(h, kv{k, v})
+			siftUp(h, len(h)-1)
+		case k >= h[0].key:
+			return false
+		default:
+			h[0] = kv{k, v}
+			siftDown(h, 0)
+		}
+		return true
+	}
 	for _, sh := range s.shards {
-		taken := 0
-		sh.ord.RangeFrom(start, func(k string, v []byte) bool {
-			all = append(all, kv{k, v})
-			taken++
-			return taken < count
-		})
+		sh.ord.RangeFrom(start, visit)
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].key < all[j].key })
-	if len(all) > count {
-		all = all[:count]
+	// Heapsort the survivors in place: move the maximum behind the
+	// shrinking heap until the slice is ascending.
+	for n := len(h) - 1; n > 0; n-- {
+		h[0], h[n] = h[n], h[0]
+		siftDown(h[:n], 0)
 	}
-	return all
+	return h
+}
+
+func siftUp(h []kv, i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if h[parent].key >= h[i].key {
+			return
+		}
+		h[parent], h[i] = h[i], h[parent]
+		i = parent
+	}
+}
+
+func siftDown(h []kv, i int) {
+	for {
+		big := 2*i + 1
+		if big >= len(h) {
+			return
+		}
+		if r := big + 1; r < len(h) && h[r].key > h[big].key {
+			big = r
+		}
+		if h[i].key >= h[big].key {
+			return
+		}
+		h[i], h[big] = h[big], h[i]
+		i = big
+	}
 }
 
 type kv struct {

@@ -12,7 +12,7 @@ import (
 )
 
 func TestSingleLevelDegeneratesToSortedList(t *testing.T) {
-	s := New[int, int](mm.ModeGC, WithMaxLevel(1))
+	s := newSuite[int, int](mm.ModeGC, WithMaxLevel(1))
 	for _, k := range []int{3, 1, 2} {
 		if !s.Insert(k, k) {
 			t.Fatalf("Insert(%d) failed", k)
@@ -40,7 +40,7 @@ func TestRangeMonotoneUnderChurn(t *testing.T) {
 		duration = 100 * time.Millisecond
 	}
 	duration = testenv.Duration(duration)
-	s := New[int, int](mm.ModeGC)
+	s := newSuite[int, int](mm.ModeGC)
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -89,7 +89,7 @@ func TestFindStartsFromIndexedPredecessor(t *testing.T) {
 	// traffic staying near zero (no full scans show up as extra work, but
 	// a broken descent would fail the lookups).
 	const n = 2000
-	s := New[int, int](mm.ModeRC, WithSeed(5))
+	s := newSuite[int, int](mm.ModeRC, WithSeed(5))
 	for k := 0; k < n; k++ {
 		s.Insert(k, k^0x5a5a)
 	}

@@ -1,6 +1,9 @@
 package skiplist
 
-import "valois/internal/mm"
+import (
+	"valois/internal/core"
+	"valois/internal/mm"
+)
 
 // Priority-queue operations on the skip list. A concurrent priority queue
 // is the workload of Huang & Weihl's study the paper cites for contention
@@ -11,7 +14,8 @@ import "valois/internal/mm"
 // Min returns the smallest key and its value, reporting false if the
 // structure was observed empty.
 func (s *SkipList[K, V]) Min() (K, V, bool) {
-	c := s.levels[0].NewCursor()
+	var c core.Cursor[item[K, V]]
+	s.levels[0].InitCursor(&c)
 	defer c.Close()
 	if c.End() {
 		var zk K
@@ -28,23 +32,24 @@ func (s *SkipList[K, V]) Min() (K, V, bool) {
 // TryDelete is the linearization point) and the losers retry on the next
 // minimum.
 func (s *SkipList[K, V]) DeleteMin() (K, V, bool) {
+	var c core.Cursor[item[K, V]]
+	s.levels[0].InitCursor(&c)
+	defer c.Close()
 	for {
-		c := s.levels[0].NewCursor()
 		if c.End() {
-			c.Close()
 			var zk K
 			var zv V
 			return zk, zv, false
 		}
 		it := c.Item()
 		if c.TryDelete() {
-			c.Close()
 			// Remove the tower's index cells; the head of every level is
 			// the natural starting point for the minimum.
-			s.deleteIndex(it.Key, make([]*mm.Node[item[K, V]], len(s.levels)))
+			var frame [framePreds]*mm.Node[item[K, V]]
+			s.deleteIndex(&c, it.Key, s.predsIn(&frame))
 			return it.Key, it.Value, true
 		}
 		s.levels[0].Stats().AddDeleteRetries(1)
-		c.Close()
+		c.Reset()
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 func TestMinAndDeleteMinSequential(t *testing.T) {
 	modes(t, func(t *testing.T, mode mm.Mode) {
-		s := New[int, string](mode)
+		s := newSuite[int, string](mode)
 		if _, _, ok := s.Min(); ok {
 			t.Fatal("Min on empty structure reported an item")
 		}
@@ -44,7 +44,7 @@ func TestMinAndDeleteMinSequential(t *testing.T) {
 func TestDeleteMinConcurrentDistinct(t *testing.T) {
 	modes(t, func(t *testing.T, mode mm.Mode) {
 		const n = 800
-		s := New[int, int](mode)
+		s := newSuite[int, int](mode)
 		perm := rand.New(rand.NewSource(4)).Perm(n)
 		for _, k := range perm {
 			s.Insert(k, k)
@@ -87,7 +87,7 @@ func TestDeleteMinRoughPriorityOrder(t *testing.T) {
 	// Under concurrency DeleteMin is linearizable per extraction but two
 	// overlapping extractions may commit out of order with respect to
 	// each other's return. Sequential extraction must be exactly sorted.
-	s := New[int, int](mm.ModeGC, WithSeed(9))
+	s := newSuite[int, int](mm.ModeGC, WithSeed(9))
 	perm := rand.New(rand.NewSource(11)).Perm(300)
 	for _, k := range perm {
 		s.Insert(k, k)
@@ -106,7 +106,7 @@ func TestDeleteMinRoughPriorityOrder(t *testing.T) {
 }
 
 func TestRangeFrom(t *testing.T) {
-	s := New[int, int](mm.ModeGC)
+	s := newSuite[int, int](mm.ModeGC)
 	for k := 0; k < 100; k += 2 { // evens only
 		s.Insert(k, k)
 	}

@@ -11,15 +11,26 @@
 // for the same key connected by Down pointers — that only accelerates the
 // descent. A search walks each level from the closest predecessor found on
 // the level above, following the predecessor cell's Down pointer
-// (List.CursorAt supports resuming from a held cell even if it has been
-// deleted, thanks to cell persistence).
+// (Cursor.Seat resumes from a held cell even if it has been deleted,
+// thanks to cell persistence).
 //
-// Because index levels are hints, races between an insertion building a
-// tower upward and a deletion tearing it down top-down can strand index
-// cells whose tower no longer reaches a live bottom cell. Such orphans
-// never affect correctness — the bottom level decides membership — and are
-// garbage-collected opportunistically: Delete sweeps every level for the
-// key again after the bottom-level deletion succeeds.
+// Every operation owns one cursor, in its own frame (§2.2: a cursor is a
+// process-private object), and moves it from level to level. The cursor
+// holds the operation's only epoch pin under mm.ModeEBR, so the
+// predecessor cells a descent remembers per level are raw pointers there:
+// cell persistence keeps a deleted predecessor's fields intact, and the
+// grace period keeps it off the free list until the operation's Close
+// unpins. Under mm.ModeRC the remembered predecessors are counted
+// references; under mm.ModeGC the collector keeps them.
+//
+// Because index levels are hints, an insertion building a tower upward can
+// race a deletion tearing it down top-down. No index cell outlives its
+// bottom cell, though: Delete sweeps every level for the key again after
+// its bottom-level deletion, and Insert, after linking an index cell,
+// checks the bottom cell once more and unlinks the index cell itself if
+// the deletion got there first — so one of the two always sees the other.
+// (An index cell left behind would pin its dead bottom cell, and every
+// dead cell chained behind that one, until the key's next deletion.)
 package skiplist
 
 import (
@@ -32,6 +43,11 @@ import (
 )
 
 const defaultMaxLevel = 16
+
+// framePreds is the size of the per-operation predecessor array kept in
+// the operation's frame; a skip list built WithMaxLevel above it falls
+// back to a heap slice per operation.
+const framePreds = 2 * defaultMaxLevel
 
 // item is what a cell stores: the key at every level, the value at the
 // bottom level, and the Down pointer into the next lower level (nil at the
@@ -97,30 +113,35 @@ func New[K cmp.Ordered, V any](mode mm.Mode, opts ...Option) *SkipList[K, V] {
 	if o.maxLevel < 1 {
 		o.maxLevel = 1
 	}
-	extractor := func(it item[K, V]) (*mm.Node[item[K, V]], *mm.Node[item[K, V]]) {
-		return it.Down, nil
-	}
 	var manager mm.Manager[item[K, V]]
 	switch mode {
 	case mm.ModeRC:
 		rc := mm.NewRC[item[K, V]](o.rcOpts...)
-		rc.SetReclaimExtractor(extractor)
+		rc.SetReclaimExtractor(downOf[K, V])
 		manager = rc
 	case mm.ModeEBR:
-		// The level cursors pin themselves (core.List detects the Pinner);
-		// the cross-level predecessor references descend keeps across
-		// cursor lifetimes stay counted, so they survive unpinned windows.
 		ebr := mm.NewEBR[item[K, V]](o.rcOpts...)
-		ebr.SetReclaimExtractor(extractor)
+		ebr.SetReclaimExtractor(downOf[K, V])
 		manager = ebr
 	default:
 		manager = mm.NewGC[item[K, V]]()
 	}
+	return newOn(manager, o.maxLevel, o.seed)
+}
+
+// downOf is the managers' reclaim extractor: a reclaimed cell gives up its
+// counted Down reference.
+func downOf[K cmp.Ordered, V any](it item[K, V]) (*mm.Node[item[K, V]], *mm.Node[item[K, V]]) {
+	return it.Down, nil
+}
+
+// newOn builds the levels over one shared manager.
+func newOn[K cmp.Ordered, V any](manager mm.Manager[item[K, V]], maxLevel int, seed uint64) *SkipList[K, V] {
 	s := &SkipList[K, V]{
 		manager: manager,
-		levels:  make([]*core.List[item[K, V]], o.maxLevel),
+		levels:  make([]*core.List[item[K, V]], maxLevel),
 	}
-	s.rng.Store(o.seed)
+	s.rng.Store(seed)
 	for i := range s.levels {
 		s.levels[i] = core.New(manager)
 	}
@@ -182,13 +203,10 @@ func (s *SkipList[K, V]) height() int {
 	return h
 }
 
-// cursorFor returns a cursor on level i, starting from the held
-// predecessor cell start (or from the level's head if start is nil).
-func (s *SkipList[K, V]) cursorFor(i int, start *mm.Node[item[K, V]]) *core.Cursor[item[K, V]] {
-	if start == nil {
-		return s.levels[i].NewCursor()
-	}
-	return s.levels[i].CursorAt(start)
+// open opens the operation's cursor (and, under mm.ModeEBR, its one
+// epoch pin) at the head of the top level; descend takes it from there.
+func (s *SkipList[K, V]) open(c *core.Cursor[item[K, V]]) {
+	s.levels[len(s.levels)-1].InitCursor(c)
 }
 
 // seek advances the cursor until it visits the first cell with key ≥ k.
@@ -201,50 +219,59 @@ func seek[K cmp.Ordered, V any](c *core.Cursor[item[K, V]], k K) {
 	}
 }
 
-// descend walks the levels from the top, recording for each level the
-// closest predecessor cell with key < k (nil when that is the level's
-// head dummy). The returned cells carry a counted reference each; the
-// caller must hand them to releasePreds.
-func (s *SkipList[K, V]) descend(k K) []*mm.Node[item[K, V]] {
-	m := s.manager
-	preds := make([]*mm.Node[item[K, V]], len(s.levels))
-	var start *mm.Node[item[K, V]] // counted reference we hold, or nil
-	for i := len(s.levels) - 1; i >= 0; i-- {
-		c := s.cursorFor(i, start)
-		if start != nil {
-			m.Release(start)
-			start = nil
-		}
-		seek(c, k)
-		if p := c.PreCell(); p.Kind() == mm.KindCell {
-			m.AddRef(p)
-			preds[i] = p
-			if i > 0 {
-				// The Down reference is kept alive by p, which the
-				// cursor still holds; count our own before moving on.
-				start = p.Item.Down
-				m.AddRef(start)
-			}
-		}
-		c.Close()
+// predsIn returns the operation's per-level predecessor slice, all nil
+// (every level's head), backed by the frame array whenever it is large
+// enough.
+func (s *SkipList[K, V]) predsIn(frame *[framePreds]*mm.Node[item[K, V]]) []*mm.Node[item[K, V]] {
+	if len(s.levels) > len(frame) {
+		return make([]*mm.Node[item[K, V]], len(s.levels))
 	}
-	return preds
+	return frame[:len(s.levels)]
+}
+
+// descend takes a cursor opened by open down the levels, searching each
+// "from the closest predecessor found on the level above" (§4.1), and
+// leaves it on the bottom level visiting the first cell with key ≥ k. If
+// preds is non-nil, descend records for each level the closest
+// predecessor cell with key < k (nil when that is the level's head
+// dummy), each carrying a Hold the caller must hand to releasePreds.
+func (s *SkipList[K, V]) descend(c *core.Cursor[item[K, V]], k K, preds []*mm.Node[item[K, V]]) {
+	for i := len(s.levels) - 1; ; i-- {
+		seek(c, k)
+		p := c.PreCell()
+		if p.Kind() != mm.KindCell {
+			p = nil
+		}
+		if preds != nil {
+			s.levels[i].Hold(p)
+			preds[i] = p
+		}
+		if i == 0 {
+			return
+		}
+		var down *mm.Node[item[K, V]]
+		if p != nil {
+			// p's Down reference stays alive while the cursor holds p;
+			// Seat takes the cursor's own hold before letting go of p.
+			down = p.Item.Down
+		}
+		c.Seat(s.levels[i-1], down)
+	}
 }
 
 func (s *SkipList[K, V]) releasePreds(preds []*mm.Node[item[K, V]]) {
-	for _, p := range preds {
-		s.manager.Release(p) // Release(nil) is a no-op
+	for i, p := range preds {
+		s.levels[i].Unhold(p) // Unhold(nil) is a no-op
 	}
 }
 
 // Find reports the value stored under key. Membership is decided by the
 // bottom level; higher levels only provide the starting point.
 func (s *SkipList[K, V]) Find(key K) (V, bool) {
-	preds := s.descend(key)
-	defer s.releasePreds(preds)
-	c := s.cursorFor(0, preds[0])
+	var c core.Cursor[item[K, V]]
+	s.open(&c)
 	defer c.Close()
-	seek(c, key)
+	s.descend(&c, key, nil)
 	if !c.End() {
 		if it := c.Item(); it.Key == key {
 			return it.Value, true
@@ -261,23 +288,24 @@ func (s *SkipList[K, V]) Find(key K) (V, bool) {
 func (s *SkipList[K, V]) Insert(key K, value V) bool {
 	m := s.manager
 	h := s.height()
-	preds := s.descend(key)
+	var frame [framePreds]*mm.Node[item[K, V]]
+	preds := s.predsIn(&frame)
+	var c core.Cursor[item[K, V]]
+	s.open(&c)
+	defer c.Close()
 	defer s.releasePreds(preds)
+	s.descend(&c, key, preds)
 
-	// Bottom level: the Figure 12 loop, starting from the descent's
-	// vantage point.
+	// Bottom level: the Figure 12 loop, starting where the descent ended.
 	base := s.levels[0]
-	c := s.cursorFor(0, preds[0])
 	q, a := base.AllocInsertNodes(item[K, V]{Key: key, Value: value})
 	if q == nil {
-		c.Close()
 		return false
 	}
 	for {
-		seek(c, key)
+		seek(&c, key)
 		if !c.End() && c.Item().Key == key {
 			base.ReleaseNodes(q, a)
-			c.Close()
 			return false
 		}
 		if c.TryInsert(q, a) {
@@ -286,7 +314,6 @@ func (s *SkipList[K, V]) Insert(key K, value V) bool {
 		base.Stats().AddInsertRetries(1)
 		c.Update()
 	}
-	c.Close()
 	base.ReleaseNodes(a) // the auxiliary node's allocation reference
 
 	// Build the index tower bottom-up. q's allocation reference keeps it
@@ -306,20 +333,19 @@ func (s *SkipList[K, V]) Insert(key K, value V) bool {
 			break
 		}
 		inserted := false
-		lc := s.cursorFor(i, preds[i])
+		c.Seat(lvl, preds[i])
 		for {
-			seek(lc, key)
-			if !lc.End() && lc.Item().Key == key {
+			seek(&c, key)
+			if !c.End() && c.Item().Key == key {
 				break // an index cell for the key is already here
 			}
-			if lc.TryInsert(iq, ia) {
+			if c.TryInsert(iq, ia) {
 				inserted = true
 				break
 			}
 			lvl.Stats().AddInsertRetries(1)
-			lc.Update()
+			c.Update()
 		}
-		lc.Close()
 		if !inserted {
 			lvl.ReleaseNodes(iq, ia) // also drops the Down reference via reclaim
 			break
@@ -328,6 +354,21 @@ func (s *SkipList[K, V]) Insert(key K, value V) bool {
 		below = iq
 		m.AddRef(below)
 		lvl.ReleaseNodes(iq, ia)
+		if q.Deleted() {
+			// The bottom cell is gone. Its deleter sweeps this level after
+			// the bottom deletion: a sweep that came after iq was linked
+			// has removed iq, and one that came before cannot have been
+			// missed by this check, so then removing iq falls to us.
+			for {
+				c.Update() // the cursor went stale when iq was linked under it
+				seek(&c, key)
+				if c.Target() != iq || c.TryDelete() {
+					break
+				}
+				lvl.Stats().AddDeleteRetries(1)
+			}
+			break
+		}
 	}
 	m.Release(below)
 	return true
@@ -338,14 +379,20 @@ func (s *SkipList[K, V]) Insert(key K, value V) bool {
 // bottom-level deletion, which is the linearization point; a final sweep
 // removes index cells a racing insertion may have added meanwhile.
 func (s *SkipList[K, V]) Delete(key K) bool {
-	preds := s.descend(key)
-	s.deleteIndex(key, preds)
+	var frame [framePreds]*mm.Node[item[K, V]]
+	preds := s.predsIn(&frame)
+	var c core.Cursor[item[K, V]]
+	s.open(&c)
+	defer c.Close()
+	defer s.releasePreds(preds)
+	s.descend(&c, key, preds)
+	s.deleteIndex(&c, key, preds)
 
 	base := s.levels[0]
-	c := s.cursorFor(0, preds[0])
+	c.Seat(base, preds[0])
 	deleted := false
 	for {
-		seek(c, key)
+		seek(&c, key)
 		if c.End() || c.Item().Key != key {
 			break
 		}
@@ -356,21 +403,20 @@ func (s *SkipList[K, V]) Delete(key K) bool {
 		base.Stats().AddDeleteRetries(1)
 		c.Update()
 	}
-	c.Close()
 
 	if deleted {
 		// Sweep stragglers left by towers built concurrently with us.
-		s.deleteIndex(key, preds)
+		s.deleteIndex(&c, key, preds)
 	}
-	s.releasePreds(preds)
 	return deleted
 }
 
-// deleteIndex removes every index cell with the key from levels top..1.
-func (s *SkipList[K, V]) deleteIndex(key K, preds []*mm.Node[item[K, V]]) {
+// deleteIndex removes every index cell with the key from levels top..1,
+// moving the operation's cursor to each level's recorded predecessor.
+func (s *SkipList[K, V]) deleteIndex(c *core.Cursor[item[K, V]], key K, preds []*mm.Node[item[K, V]]) {
 	for i := len(s.levels) - 1; i >= 1; i-- {
 		lvl := s.levels[i]
-		c := s.cursorFor(i, preds[i])
+		c.Seat(lvl, preds[i])
 		for {
 			seek(c, key)
 			if c.End() || c.Item().Key != key {
@@ -381,7 +427,6 @@ func (s *SkipList[K, V]) deleteIndex(key K, preds []*mm.Node[item[K, V]]) {
 			}
 			c.Update()
 		}
-		c.Close()
 	}
 }
 
@@ -395,7 +440,8 @@ func (s *SkipList[K, V]) Len() int { return s.levels[0].Len() }
 // keys not above the last reported key are skipped to keep the output
 // monotone.
 func (s *SkipList[K, V]) Range(f func(key K, value V) bool) {
-	c := s.levels[0].NewCursor()
+	var c core.Cursor[item[K, V]]
+	s.levels[0].InitCursor(&c)
 	defer c.Close()
 	first := true
 	var last K
@@ -418,11 +464,10 @@ func (s *SkipList[K, V]) Range(f func(key K, value V) bool) {
 // levels to reach the starting position in O(log n) instead of scanning
 // the bottom level.
 func (s *SkipList[K, V]) RangeFrom(start K, f func(key K, value V) bool) {
-	preds := s.descend(start)
-	c := s.cursorFor(0, preds[0])
-	s.releasePreds(preds)
+	var c core.Cursor[item[K, V]]
+	s.open(&c)
 	defer c.Close()
-	seek(c, start)
+	s.descend(&c, start, nil)
 	first := true
 	var last K
 	for !c.End() {

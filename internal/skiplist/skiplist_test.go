@@ -20,7 +20,7 @@ func modes(t *testing.T, f func(t *testing.T, mode mm.Mode)) {
 
 func TestBasics(t *testing.T) {
 	modes(t, func(t *testing.T, mode mm.Mode) {
-		s := New[int, string](mode)
+		s := newSuite[int, string](mode)
 		if _, ok := s.Find(1); ok {
 			t.Fatal("Find on empty skip list reported a hit")
 		}
@@ -48,7 +48,7 @@ func TestBasics(t *testing.T) {
 func TestManyKeysAscendingOrder(t *testing.T) {
 	modes(t, func(t *testing.T, mode mm.Mode) {
 		const n = 500
-		s := New[int, int](mode, WithSeed(42))
+		s := newSuite[int, int](mode, WithSeed(42))
 		perm := rand.New(rand.NewSource(3)).Perm(n)
 		for _, k := range perm {
 			if !s.Insert(k, k*2) {
@@ -79,7 +79,7 @@ func TestManyKeysAscendingOrder(t *testing.T) {
 // in lower level lists".
 func TestLevelSubsetProperty(t *testing.T) {
 	const n = 600
-	s := New[int, int](mm.ModeGC, WithSeed(7))
+	s := newSuite[int, int](mm.ModeGC, WithSeed(7))
 	for k := 0; k < n; k++ {
 		s.Insert(k, k)
 	}
@@ -122,7 +122,7 @@ func TestLevelSubsetProperty(t *testing.T) {
 func TestDeleteRemovesIndexCells(t *testing.T) {
 	modes(t, func(t *testing.T, mode mm.Mode) {
 		const n = 200
-		s := New[int, int](mode, WithSeed(11))
+		s := newSuite[int, int](mode, WithSeed(11))
 		for k := 0; k < n; k++ {
 			s.Insert(k, k)
 		}
@@ -140,7 +140,7 @@ func TestDeleteRemovesIndexCells(t *testing.T) {
 }
 
 func TestRCLeakFreeAfterChurnAndClose(t *testing.T) {
-	s := New[int, int](mm.ModeRC, WithSeed(13))
+	s := newSuite[int, int](mm.ModeRC, WithSeed(13))
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 5000; i++ {
 		k := rng.Intn(128)
@@ -163,7 +163,7 @@ func TestConcurrentDistinctKeys(t *testing.T) {
 			goroutines = 8
 			perG       = 150
 		)
-		s := New[int, int](mode)
+		s := newSuite[int, int](mode)
 		var wg sync.WaitGroup
 		for g := 0; g < goroutines; g++ {
 			wg.Add(1)
@@ -193,7 +193,7 @@ func TestConcurrentSameKeyOps(t *testing.T) {
 			goroutines = 8
 			keys       = 40
 		)
-		s := New[int, int](mode)
+		s := newSuite[int, int](mode)
 		var wins atomic.Int64
 		var wg sync.WaitGroup
 		for g := 0; g < goroutines; g++ {
@@ -244,7 +244,7 @@ func TestConcurrentMixedChurnConservation(t *testing.T) {
 			goroutines = 8
 			keyspace   = 96
 		)
-		s := New[int, int](mode)
+		s := newSuite[int, int](mode)
 		var inserts, deletes atomic.Int64
 		var wg sync.WaitGroup
 		for g := 0; g < goroutines; g++ {
@@ -295,7 +295,7 @@ func TestConcurrentMixedChurnConservation(t *testing.T) {
 }
 
 func TestHeightDistribution(t *testing.T) {
-	s := New[int, int](mm.ModeGC, WithSeed(99), WithMaxLevel(20))
+	s := newSuite[int, int](mm.ModeGC, WithSeed(99), WithMaxLevel(20))
 	const draws = 1 << 14
 	counts := make([]int, 21)
 	for i := 0; i < draws; i++ {
@@ -319,7 +319,7 @@ func TestMatchesMapModel(t *testing.T) {
 		Key  uint8
 	}
 	f := func(ops []op) bool {
-		s := New[int, int](mm.ModeRC, WithMaxLevel(4))
+		s := newSuite[int, int](mm.ModeRC, WithMaxLevel(4))
 		model := map[int]int{}
 		v := 0
 		for _, o := range ops {
