@@ -22,15 +22,15 @@ LFCHECK_CACHE_FLAGS := $(if $(LFCHECK_CACHE),-cache $(LFCHECK_CACHE))
 # the scripted end-to-end version CI runs).
 ADDR ?= 127.0.0.1:11311
 BACKEND ?= skiplist
+# gc, rc or ebr
 MODE ?= rc
 CONNS ?= 64
 LOAD_DURATION ?= 10s
 PROTOCOL ?= text
-PIPELINE ?= 1
 
 .PHONY: build test race lint lint-json lint-sarif lint-debt lint-strict \
 	fuzz-short fmt-check bench-quick serve loadgen smoke chaos durability \
-	bench-server bench-build
+	bench-build
 
 build:
 	$(GO) build ./...
@@ -84,8 +84,8 @@ fmt-check:
 # memory-mode comparison (E11) at reduced iterations — a CI-speed
 # regression check that the striped free list still beats the single head
 # and that mode=ebr traversal stays below rc with zero leaked cells. The
-# committed BENCH_E10.json / BENCH_E11.json are from the full run:
-# go run ./cmd/lfbench -e E10,E11 -json-dir .
+# tables in EXPERIMENTS.md are from the full run:
+# GOMAXPROCS=2 go run ./cmd/lfbench -format markdown
 bench-quick:
 	$(GO) run ./cmd/lfbench -e E10,E11 -quick -d 50ms
 
@@ -104,18 +104,12 @@ fuzz-short:
 serve:
 	$(GO) run ./cmd/valoisd -addr $(ADDR) -backend $(BACKEND) -mode $(MODE)
 
-# loadgen drives a running valoisd (see `make serve`) and writes
-# BENCH_server.json at the repo root.
+# loadgen drives a running valoisd (see `make serve`) closed-loop and
+# exits nonzero on any error. It measures nothing: numbers come from
+# `bash bench/run.sh`.
 loadgen:
 	$(GO) run ./cmd/lfload -addr $(ADDR) -conns $(CONNS) -d $(LOAD_DURATION) \
-		-protocol $(PROTOCOL) -pipeline $(PIPELINE)
-
-# bench-server runs the four-arm serving benchmark (text/resp × batch
-# on/off) against a freshly built valoisd on an ephemeral port and
-# regenerates BENCH_server.json from the winning pipelined arm. See
-# scripts/bench_server.sh for knobs (BENCH_DURATION, BENCH_CONNS, ...).
-bench-server:
-	sh scripts/bench_server.sh
+		-protocol $(PROTOCOL)
 
 # smoke builds both binaries, boots the server on an ephemeral loopback
 # port, sustains $(CONNS) connections, then checks SIGTERM drains to

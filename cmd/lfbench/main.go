@@ -1,23 +1,21 @@
 // Command lfbench regenerates the paper-reproduction experiment tables
-// E1–E10 (see DESIGN.md for the per-claim index and EXPERIMENTS.md for the
-// recorded results).
+// E1–E11, A1–A3 and persist (see DESIGN.md for the per-claim index and
+// EXPERIMENTS.md for the recorded results, which are
+// `lfbench -format markdown` output).
 //
 // Usage:
 //
-//	lfbench [-e E1,E3] [-d 300ms] [-quick] [-json-dir .]
+//	lfbench [-e E1,E3] [-d 300ms] [-quick] [-seed 1] [-format text|csv|markdown]
 //
-// With no -e flag every experiment runs in order. With -json-dir, each
-// experiment additionally writes a machine-readable BENCH_<ID>.json into
-// that directory (BENCH_E1.json, ...), so the perf trajectory can be
-// tracked across PRs alongside cmd/lfload's BENCH_server.json.
+// With no -e flag every experiment runs in order. These are in-process
+// experiments on the paper's claims; the serving path is measured by the
+// repository's benchmark (bash bench/run.sh).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"time"
@@ -35,12 +33,11 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("lfbench", flag.ContinueOnError)
 	var (
-		which   = fs.String("e", "", "comma-separated experiment IDs (default: all)")
-		dur     = fs.Duration("d", 300*time.Millisecond, "duration per measured point")
-		quick   = fs.Bool("quick", false, "trim sweeps for a fast smoke run")
-		seed    = fs.Int64("seed", 1, "workload seed")
-		format  = fs.String("format", "text", "output format: text, csv, or markdown")
-		jsonDir = fs.String("json-dir", "", "also write BENCH_<ID>.json files into this directory")
+		which  = fs.String("e", "", "comma-separated experiment IDs (default: all)")
+		dur    = fs.Duration("d", 300*time.Millisecond, "duration per measured point")
+		quick  = fs.Bool("quick", false, "trim sweeps for a fast smoke run")
+		seed   = fs.Int64("seed", 1, "workload seed")
+		format = fs.String("format", "text", "output format: text, csv, or markdown")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -55,7 +52,11 @@ func run(args []string) error {
 		for _, id := range strings.Split(*which, ",") {
 			r, ok := experiments.Lookup(strings.TrimSpace(id))
 			if !ok {
-				return fmt.Errorf("unknown experiment %q (valid: E1..E10, A1..A3, persist)", id)
+				var valid []string
+				for _, r := range experiments.All() {
+					valid = append(valid, r.ID)
+				}
+				return fmt.Errorf("unknown experiment %q (valid: %s)", id, strings.Join(valid, ", "))
 			}
 			runners = append(runners, r)
 		}
@@ -81,52 +82,6 @@ func run(args []string) error {
 		default:
 			return fmt.Errorf("unknown format %q (text, csv, markdown)", *format)
 		}
-		if *jsonDir != "" {
-			if err := writeBenchJSON(*jsonDir, table, time.Since(start)); err != nil {
-				return err
-			}
-		}
 	}
 	return nil
-}
-
-// benchDoc is the BENCH_<ID>.json schema: the experiment's table plus
-// enough host context to compare runs across machines and PRs.
-type benchDoc struct {
-	Bench      string         `json:"bench"`
-	Timestamp  string         `json:"timestamp"`
-	ID         string         `json:"id"`
-	Title      string         `json:"title"`
-	Claim      string         `json:"claim"`
-	Columns    []string       `json:"columns"`
-	Rows       [][]string     `json:"rows"`
-	Notes      []string       `json:"notes,omitempty"`
-	ElapsedSec float64        `json:"elapsed_sec"`
-	Host       map[string]any `json:"host"`
-}
-
-func writeBenchJSON(dir string, t experiments.Table, elapsed time.Duration) error {
-	doc := benchDoc{
-		Bench:      "lfbench",
-		Timestamp:  time.Now().UTC().Format(time.RFC3339),
-		ID:         t.ID,
-		Title:      t.Title,
-		Claim:      t.Claim,
-		Columns:    t.Columns,
-		Rows:       t.Rows,
-		Notes:      t.Notes,
-		ElapsedSec: elapsed.Seconds(),
-		Host: map[string]any{
-			"goos":       runtime.GOOS,
-			"goarch":     runtime.GOARCH,
-			"cpus":       runtime.NumCPU(),
-			"gomaxprocs": runtime.GOMAXPROCS(0),
-		},
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(dir, "BENCH_"+t.ID+".json")
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -20,32 +18,20 @@ func TestRunMultipleExperiments(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run([]string{"-e", "E42"}); err == nil {
+	err := run([]string{"-e", "E42"})
+	if err == nil {
 		t.Fatal("unknown experiment accepted")
+	}
+	if !strings.Contains(err.Error(), "E11") {
+		t.Fatalf("error does not list every valid ID: %v", err)
 	}
 }
 
 func TestRunBadFlag(t *testing.T) {
-	if err := run([]string{"-nope"}); err == nil {
-		t.Fatal("bad flag accepted")
-	}
-}
-
-func TestRunWritesBenchJSON(t *testing.T) {
-	dir := t.TempDir()
-	if err := run([]string{"-e", "E8", "-quick", "-d", "5ms", "-json-dir", dir}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "BENCH_E8.json"))
-	if err != nil {
-		t.Fatalf("BENCH_E8.json not written: %v", err)
-	}
-	var doc benchDoc
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("BENCH_E8.json does not parse: %v", err)
-	}
-	if doc.Bench != "lfbench" || doc.ID != "E8" || len(doc.Columns) == 0 || len(doc.Rows) == 0 {
-		t.Fatalf("BENCH_E8.json missing fields: %+v", doc)
+	for _, flag := range []string{"-nope", "-json-dir"} {
+		if err := run([]string{flag, "."}); err == nil {
+			t.Fatalf("bad flag %s accepted", flag)
+		}
 	}
 }
 

@@ -5,7 +5,7 @@
 //
 //	go run ./cmd/lfcheck ./...          # run every analyzer
 //	go run ./cmd/lfcheck -list          # show the analyzers
-//	go run ./cmd/lfcheck -checks saferead,casloop ./internal/mm
+//	go run ./cmd/lfcheck -checks releasepath,casloop ./internal/mm
 //
 // It exits 0 when no diagnostics are reported, 1 when there are findings,
 // and 2 on load failures — so it slots directly into CI next to go vet.
@@ -23,13 +23,11 @@ import (
 	"valois/internal/analysis/mixedatomic"
 	"valois/internal/analysis/refbalance"
 	"valois/internal/analysis/releasepath"
-	"valois/internal/analysis/saferead"
 )
 
 func main() {
 	framework.Main(
 		mixedatomic.Analyzer,
-		saferead.Analyzer,
 		refbalance.Analyzer,
 		abaguard.Analyzer,
 		casloop.Analyzer,

@@ -41,7 +41,7 @@ func (m *mgr) Release(n *node) {
 }
 
 // suppressedLeak leaks its reference on purpose; the wildcard directive
-// silences every analyzer that notices (saferead and refbalance both do).
+// silences every analyzer that notices (releasepath and refbalance both do).
 func suppressedLeak(m *mgr) int {
 	//lfcheck:allow all fixture: deliberate leak kept to demonstrate suppression
 	q := m.SafeRead(&m.head)
@@ -54,7 +54,7 @@ func suppressedLeak(m *mgr) int {
 // The directive below is malformed — it names a check but gives no reason —
 // so the driver reports the directive itself.
 //
-//lfcheck:allow saferead
+//lfcheck:allow releasepath
 func balanced(m *mgr) int {
 	q := m.SafeRead(&m.head)
 	if q == nil {

@@ -1,9 +1,11 @@
-// Command lfload is a closed-loop load generator for valoisd: N
-// connections (one goroutine each) issue a GET/SET/DELETE mix against a
-// running server for a fixed duration, then report throughput and latency
-// percentiles as text and as machine-readable JSON (BENCH_server.json by
-// default) so the serving-path performance trajectory is tracked across
-// PRs.
+// Command lfload is a closed-loop traffic driver for a running valoisd:
+// N connections (one goroutine each) issue a GET/SET/DELETE mix for a
+// fixed duration, one operation in flight per connection, and the exit
+// status says whether the server sustained it. It measures nothing —
+// throughput, latency and per-layer costs come from the benchmark
+// (bash bench/run.sh), which spawns its own server. lfload exists for the
+// two things that cannot: scripts/smoke.sh drives a server it booted
+// itself, and -chaos puts a fault-injecting proxy in front of one.
 //
 // The operation mixes are the ones the in-process experiment suite uses
 // (internal/workload): read-mostly 90/5/5, mixed 50/25/25, update-heavy
@@ -12,16 +14,8 @@
 // Usage:
 //
 //	lfload -addr localhost:11311 [-conns 64] [-d 10s] [-mix mixed]
-//	       [-dist uniform] [-keyspace 16384] [-prefill 0] [-seed 1]
-//	       [-protocol text] [-pipeline 1] [-json BENCH_server.json]
-//
-// -protocol selects the wire protocol (text or resp). -pipeline N > 1
-// switches each connection from closed-loop one-at-a-time operation to
-// pipelined batches of N commands per round trip, which is what the
-// server's batched executor is built for; the batch round trip is
-// attributed to every operation in it. Latency percentiles come from a
-// fixed-bucket geometric histogram (hist.go), so p999 is meaningful even
-// on runs with tens of millions of operations.
+//	       [-dist uniform] [-keyspace 16384] [-seed 1] [-protocol text]
+//	       [-timeout 5s] [-retries 2] [-chaos [-chaos-seed 1]]
 //
 // lfload exits 1 if any operation failed or drew a protocol error; a
 // clean run means every connection sustained the full workload.
@@ -34,14 +28,12 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"math/rand"
 	"os"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,68 +49,18 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// report is the JSON document lfload emits.
-type report struct {
-	Bench          string  `json:"bench"`
-	Timestamp      string  `json:"timestamp"`
-	Addr           string  `json:"addr"`
-	Conns          int     `json:"conns"`
-	DurationSec    float64 `json:"duration_sec"`
-	Mix            string  `json:"mix"`
-	Dist           string  `json:"dist"`
-	KeySpace       int     `json:"keyspace"`
-	Prefill        int     `json:"prefill"`
-	Protocol       string  `json:"protocol"`
-	Pipeline       int     `json:"pipeline"`
-	Ops            int64   `json:"ops"`
-	OpsPerSec      float64 `json:"ops_per_sec"`
-	Gets           int64   `json:"gets"`
-	GetHits        int64   `json:"get_hits"`
-	Sets           int64   `json:"sets"`
-	Deletes        int64   `json:"deletes"`
-	DeleteHits     int64   `json:"delete_hits"`
-	NetErrors      int64   `json:"net_errors"`
-	ProtocolErrors int64   `json:"protocol_errors"`
-	LatP50Micros   int64   `json:"lat_p50_us"`
-	LatP99Micros   int64   `json:"lat_p99_us"`
-	LatP999Micros  int64   `json:"lat_p999_us"`
-
-	// Server-side wire counters, scraped from STATS when the run ends:
-	// total bytes the server read and wrote across all connections.
-	BytesIn  int64 `json:"bytes_in"`
-	BytesOut int64 `json:"bytes_out"`
-
-	// Server-side durability counters, scraped from STATS when the run
-	// ends (all zero when the server runs without -aof).
-	AOFRecords       int64 `json:"aof_records"`
-	AOFBytes         int64 `json:"aof_bytes"`
-	AOFFsyncs        int64 `json:"aof_fsyncs"`
-	SnapshotRuns     int64 `json:"snapshot_runs"`
-	RecoveryReplayed int64 `json:"recovery_replayed"`
-
-	// Chaos-mode fields, populated only when -chaos is set.
-	Chaos          bool  `json:"chaos,omitempty"`
-	ChaosSeed      int64 `json:"chaos_seed,omitempty"`
-	FaultsInjected int64 `json:"faults_injected,omitempty"`
-	LostOps        int64 `json:"lost_ops,omitempty"`
-	Linearizable   bool  `json:"linearizable,omitempty"`
-}
-
 func run(args []string, out, errw io.Writer) int {
 	fs := flag.NewFlagSet("lfload", flag.ContinueOnError)
 	fs.SetOutput(errw)
 	var (
 		addr     = fs.String("addr", "localhost:11311", "valoisd address")
 		conns    = fs.Int("conns", 64, "concurrent connections (one goroutine each)")
-		dur      = fs.Duration("d", 10*time.Second, "measured run duration")
+		dur      = fs.Duration("d", 10*time.Second, "run duration")
 		mixName  = fs.String("mix", "mixed", "operation mix: read-mostly, mixed, update-heavy, or F/I/D")
 		distName = fs.String("dist", "uniform", "key distribution: uniform or zipfian")
 		keySpace = fs.Int("keyspace", 16384, "distinct keys")
-		prefill  = fs.Int("prefill", 0, "keys stored before the clock starts")
 		seed     = fs.Int64("seed", 1, "workload seed")
 		protocol = fs.String("protocol", "text", "wire protocol: text or resp")
-		pipeline = fs.Int("pipeline", 1, "commands pipelined per round trip (1 = closed loop)")
-		jsonPath = fs.String("json", "BENCH_server.json", "write a JSON report here (empty disables)")
 		timeout  = fs.Duration("timeout", 5*time.Second, "per-operation deadline")
 		retries  = fs.Int("retries", 2, "retries per operation on transient errors")
 		chaos    = fs.Bool("chaos", false, "inject network faults and verify wire-level linearizability")
@@ -141,29 +83,12 @@ func run(args []string, out, errw io.Writer) int {
 		fmt.Fprintln(errw, "lfload: -conns and -keyspace must be positive")
 		return 2
 	}
-	if *pipeline < 1 {
-		fmt.Fprintln(errw, "lfload: -pipeline must be positive")
-		return 2
-	}
-	if *pipeline > 1 && *chaos {
-		// The chaos history records one event per wire attempt; batches
-		// complete as a unit, so pipelining would blur the at-most-once
-		// accounting linearize.CheckKV depends on.
-		fmt.Fprintln(errw, "lfload: -chaos and -pipeline are mutually exclusive")
-		return 2
-	}
 	opts := client.Options{OpTimeout: *timeout, Retries: *retries, Protocol: *protocol}
 
 	target := *addr
 	var proxy *faultnet.Proxy
 	var hist *chaosHist
 	if *chaos {
-		if *prefill > 0 {
-			// Prefill stores key-name values the history cannot explain;
-			// chaos runs start from an empty (or at least untracked) state.
-			fmt.Fprintln(errw, "lfload: -chaos and -prefill are mutually exclusive")
-			return 2
-		}
 		p, err := faultnet.NewProxy(*addr, faultnet.ChaosFaults(*chaosSed))
 		if err != nil {
 			fmt.Fprintln(errw, "lfload: chaos proxy:", err)
@@ -174,25 +99,6 @@ func run(args []string, out, errw io.Writer) int {
 		target = p.Addr()
 		opts.Retries = -1 // see chaos.go: one logical op = one wire attempt
 		fmt.Fprintf(out, "lfload: chaos mode: faults seeded with %d, retries disabled, history verified at exit\n", *chaosSed)
-	}
-
-	if *prefill > 0 {
-		if err := doPrefill(target, opts, *prefill, *keySpace, *seed); err != nil {
-			fmt.Fprintln(errw, "lfload: prefill:", err)
-			return 1
-		}
-	}
-
-	// Precomputed key names and value payloads: the measured loops must
-	// not pay fmt.Sprintf (or the string->[]byte conversion) per
-	// operation — at several hundred thousand ops/s on a shared CPU that
-	// generator overhead would show up in the server's numbers. Read-only
-	// after this point, so all workers share them.
-	keys := make([]string, *keySpace)
-	vals := make([][]byte, *keySpace)
-	for i := range keys {
-		keys[i] = keyName(i)
-		vals[i] = []byte(keys[i])
 	}
 
 	var (
@@ -206,8 +112,6 @@ func run(args []string, out, errw io.Writer) int {
 		deleteHits atomic.Int64
 		netErrs    atomic.Int64
 		protoErrs  atomic.Int64
-		latMu      sync.Mutex
-		lat        latHist
 	)
 	start := time.Now()
 	for w := 0; w < *conns; w++ {
@@ -236,18 +140,6 @@ func run(args []string, out, errw io.Writer) int {
 				}
 				return rng.Intn(*keySpace)
 			}
-			var localLat latHist
-			if *pipeline > 1 {
-				runPipelined(c, rng, draw, *pipeline, keys, vals, &stop, &localLat, pipeCounters{
-					ops: &ops, gets: &gets, getHits: &getHits, sets: &sets,
-					deletes: &deletes, deleteHits: &deleteHits,
-					netErrs: &netErrs, protoErrs: &protoErrs,
-				}, mix)
-				latMu.Lock()
-				lat.merge(&localLat)
-				latMu.Unlock()
-				return
-			}
 			for !stop.Load() {
 				k := draw()
 				if hist != nil {
@@ -256,8 +148,7 @@ func run(args []string, out, errw io.Writer) int {
 						return // per-key history budget exhausted everywhere
 					}
 				}
-				key := keys[k]
-				opStart := time.Now()
+				key := keyName(k)
 				var err error
 				switch p := rng.Intn(100); {
 				case p < mix.FindPct:
@@ -275,7 +166,7 @@ func run(args []string, out, errw io.Writer) int {
 					if hist != nil {
 						err = hist.set(c, k)
 					} else {
-						err = c.Set(key, vals[k])
+						err = c.Set(key, []byte(key))
 					}
 					sets.Add(1)
 				default:
@@ -297,14 +188,9 @@ func run(args []string, out, errw io.Writer) int {
 					} else {
 						netErrs.Add(1)
 					}
-				} else {
-					localLat.add(time.Since(opStart))
 				}
 				ops.Add(1)
 			}
-			latMu.Lock()
-			lat.merge(&localLat)
-			latMu.Unlock()
 		}(*seed + int64(w) + 1)
 	}
 	workersDone := make(chan struct{})
@@ -317,161 +203,41 @@ func run(args []string, out, errw io.Writer) int {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	r := report{
-		Bench:          "lfload",
-		Timestamp:      time.Now().UTC().Format(time.RFC3339),
-		Addr:           *addr,
-		Conns:          *conns,
-		DurationSec:    elapsed.Seconds(),
-		Mix:            *mixName,
-		Dist:           dist.String(),
-		KeySpace:       *keySpace,
-		Prefill:        *prefill,
-		Protocol:       *protocol,
-		Pipeline:       *pipeline,
-		Ops:            ops.Load(),
-		OpsPerSec:      float64(ops.Load()) / elapsed.Seconds(),
-		Gets:           gets.Load(),
-		GetHits:        getHits.Load(),
-		Sets:           sets.Load(),
-		Deletes:        deletes.Load(),
-		DeleteHits:     deleteHits.Load(),
-		NetErrors:      netErrs.Load(),
-		ProtocolErrors: protoErrs.Load(),
-		LatP50Micros:   lat.percentile(0.50).Microseconds(),
-		LatP99Micros:   lat.percentile(0.99).Microseconds(),
-		LatP999Micros:  lat.percentile(0.999).Microseconds(),
-	}
+	fmt.Fprintf(out, "lfload: %d conns for %.1fs against %s (mix=%s dist=%s keyspace=%d protocol=%s)\n",
+		*conns, elapsed.Seconds(), *addr, *mixName, dist, *keySpace, *protocol)
+	fmt.Fprintf(out, "  %d ops: %d gets (%d hits), %d sets, %d deletes (%d hits); errors: network=%d protocol=%d\n",
+		ops.Load(), gets.Load(), getHits.Load(), sets.Load(), deletes.Load(), deleteHits.Load(),
+		netErrs.Load(), protoErrs.Load())
 
-	fmt.Fprintf(out, "lfload: %d conns for %.1fs against %s (mix=%s dist=%s keyspace=%d protocol=%s pipeline=%d)\n",
-		r.Conns, r.DurationSec, r.Addr, r.Mix, r.Dist, r.KeySpace, r.Protocol, r.Pipeline)
-	fmt.Fprintf(out, "  %d ops (%.0f ops/s): %d gets (%d hits), %d sets, %d deletes (%d hits)\n",
-		r.Ops, r.OpsPerSec, r.Gets, r.GetHits, r.Sets, r.Deletes, r.DeleteHits)
-	fmt.Fprintf(out, "  latency p50=%dµs p99=%dµs p999=%dµs; errors: network=%d protocol=%d\n",
-		r.LatP50Micros, r.LatP99Micros, r.LatP999Micros, r.NetErrors, r.ProtocolErrors)
-
-	// Wire and durability counters come from the server directly (not
-	// through the chaos proxy, which may be poisoning connections).
-	if ps, err := fetchServerStats(*addr, *protocol, *timeout); err != nil {
-		fmt.Fprintf(errw, "lfload: post-run STATS fetch failed: %v\n", err)
-	} else {
-		r.BytesIn = ps["bytes_in"]
-		r.BytesOut = ps["bytes_out"]
-		fmt.Fprintf(out, "  wire: bytes_in=%d bytes_out=%d batches=%d batched_ops=%d\n",
-			ps["bytes_in"], ps["bytes_out"], ps["batches"], ps["batched_ops"])
-		r.AOFRecords = ps["aof_records"]
-		r.AOFBytes = ps["aof_bytes"]
-		r.AOFFsyncs = ps["aof_fsyncs"]
-		r.SnapshotRuns = ps["snapshot_runs"]
-		r.RecoveryReplayed = ps["recovery_replayed"]
-		if r.AOFRecords > 0 || r.RecoveryReplayed > 0 {
-			fmt.Fprintf(out, "  durability: aof_records=%d aof_bytes=%d aof_fsyncs=%d snapshot_runs=%d recovery_replayed=%d\n",
-				r.AOFRecords, r.AOFBytes, r.AOFFsyncs, r.SnapshotRuns, r.RecoveryReplayed)
-		}
-	}
-
-	chaosViolation := false
 	if hist != nil {
 		snap := proxy.Stats().Snapshot()
-		r.Chaos = true
-		r.ChaosSeed = *chaosSed
-		r.FaultsInjected = snap.Total()
-		r.LostOps = hist.lost.Load()
 		res := linearize.CheckKV(hist.history())
-		r.Linearizable = res.OK
 		fmt.Fprintf(out, "  chaos: %d faults (latency=%d partial=%d reset=%d stall=%d acceptfail=%d), %d ops lost, linearizable=%v\n",
-			snap.Total(), snap.Latencies, snap.PartialReads+snap.PartialWrites, snap.Resets, snap.Stalls, snap.AcceptFails, r.LostOps, res.OK)
-		if err := hist.fatal(); err != nil {
-			chaosViolation = true
+			snap.Total(), snap.Latencies, snap.PartialReads+snap.PartialWrites, snap.Resets, snap.Stalls, snap.AcceptFails, hist.lost.Load(), res.OK)
+		err := hist.fatal()
+		if err != nil {
 			fmt.Fprintf(errw, "lfload: chaos: data integrity failure (seed %d): %v\n", *chaosSed, err)
 		}
 		if !res.OK {
-			chaosViolation = true
 			fmt.Fprintf(errw, "lfload: chaos: history NOT linearizable (replay with -chaos-seed %d); violating subhistory for key %d:\n", *chaosSed, res.BadKey)
 			for _, e := range res.BadHistory {
 				fmt.Fprintf(errw, "  %v\n", e)
 			}
 		}
-	}
-
-	if *jsonPath != "" {
-		data, err := json.MarshalIndent(r, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*jsonPath, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintln(errw, "lfload: writing report:", err)
-			return 1
-		}
-		fmt.Fprintf(out, "  report written to %s\n", *jsonPath)
-	}
-
-	if hist != nil {
 		// Transport errors are expected under injected faults; the pass
 		// criterion is the history check (and the absence of protocol
 		// errors, which no injected fault in this mode can produce).
-		if chaosViolation || r.ProtocolErrors > 0 {
+		if err != nil || !res.OK || protoErrs.Load() > 0 {
 			fmt.Fprintln(errw, "lfload: FAILED — chaos run violated the wire specification")
 			return 1
 		}
 		return 0
 	}
-	if r.ProtocolErrors > 0 || r.NetErrors > 0 {
+	if protoErrs.Load() > 0 || netErrs.Load() > 0 {
 		fmt.Fprintln(errw, "lfload: FAILED — the run drew errors")
 		return 1
 	}
 	return 0
-}
-
-// fetchServerStats reads the wire and durability counters over a clean
-// direct connection once the run is over.
-func fetchServerStats(addr, protocol string, timeout time.Duration) (map[string]int64, error) {
-	c, err := client.Dial(addr, client.Options{ConnectTimeout: timeout, OpTimeout: timeout, Protocol: protocol})
-	if err != nil {
-		return nil, err
-	}
-	defer c.Close()
-	stats, err := c.Stats()
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]int64)
-	for _, name := range []string{
-		"bytes_in", "bytes_out", "batches", "batched_ops",
-		"aof_records", "aof_bytes", "aof_fsyncs", "snapshot_runs", "recovery_replayed",
-	} {
-		v, err := strconv.ParseInt(stats[name], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("STATS %s = %q: %w", name, stats[name], err)
-		}
-		out[name] = v
-	}
-	return out, nil
-}
-
-// doPrefill stores n distinct keys with one pipelined connection.
-func doPrefill(addr string, opts client.Options, n, keySpace int, seed int64) error {
-	c, err := client.Dial(addr, opts)
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	if n > keySpace {
-		n = keySpace
-	}
-	perm := rand.New(rand.NewSource(seed + 42)).Perm(keySpace)
-	const batchSize = 128
-	for i := 0; i < n; i += batchSize {
-		var b client.Batch
-		for j := i; j < n && j < i+batchSize; j++ {
-			key := keyName(perm[j])
-			b.Set(key, []byte(key))
-		}
-		if _, err := c.Do(&b); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func keyName(k int) string { return fmt.Sprintf("key:%08d", k) }

@@ -3,13 +3,13 @@
 // internal/proto (auto-detected per connection by default). Keys are
 // sharded across independent dictionary instances; the backend structure
 // and the §5 memory mode are flags, so the same daemon compares every
-// structure × mode combination under real network load (see cmd/lfload).
+// structure × mode combination under real network load (see bench/).
 //
 // Usage:
 //
 //	valoisd [-addr :11311] [-backend skiplist] [-mode gc] [-shards 16]
 //	        [-buckets 1024] [-gomaxprocs N] [-protocol auto|text|resp]
-//	        [-batch=false] [-pprof ADDR]
+//	        [-pprof ADDR]
 //	        [-aof -data-dir DIR [-fsync always|everysec|no] [-snapshot-interval 5m]]
 //
 // With -aof, every mutation is appended to an append-only log under
@@ -69,7 +69,6 @@ func run(args []string, logw io.Writer, onReady func(net.Addr)) int {
 		writeTO    = fs.Duration("write-timeout", server.DefaultWriteTimeout, "per-reply write deadline (negative disables)")
 		maxConns   = fs.Int("max-conns", 0, "max concurrent connections, over-cap dials are rejected (0 = unlimited)")
 		protocol   = fs.String("protocol", proto.ProtocolAuto, "wire protocol: auto (sniff per connection), text, or resp")
-		batch      = fs.Bool("batch", true, "drain pipelined commands into batched execution")
 		pprofAddr  = fs.String("pprof", "", "if set, serve net/http/pprof on this address with mutex/block profiling")
 		aof        = fs.Bool("aof", false, "enable the append-only log (requires -data-dir)")
 		dataDir    = fs.String("data-dir", "", "directory for the append-only log and snapshots")
@@ -97,7 +96,6 @@ func run(args []string, logw io.Writer, onReady func(net.Addr)) int {
 		WriteTimeout: *writeTO,
 		MaxConns:     *maxConns,
 		Protocol:     *protocol,
-		NoBatch:      !*batch,
 		Logf:         func(format string, a ...any) { fmt.Fprintf(logw, "valoisd: "+format+"\n", a...) },
 	}
 	if *aof {
@@ -128,8 +126,8 @@ func run(args []string, logw io.Writer, onReady func(net.Addr)) int {
 		fmt.Fprintln(logw, "valoisd:", err)
 		return 1
 	}
-	fmt.Fprintf(logw, "valoisd: serving on %s (backend=%s mode=%s shards=%d protocol=%s batch=%v gomaxprocs=%d)\n",
-		ln.Addr(), *backend, *mode, *shards, *protocol, *batch, runtime.GOMAXPROCS(0))
+	fmt.Fprintf(logw, "valoisd: serving on %s (backend=%s mode=%s shards=%d protocol=%s gomaxprocs=%d)\n",
+		ln.Addr(), *backend, *mode, *shards, *protocol, runtime.GOMAXPROCS(0))
 	if onReady != nil {
 		onReady(ln.Addr())
 	}

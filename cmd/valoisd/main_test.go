@@ -170,17 +170,21 @@ func TestRunPprofAndProtocol(t *testing.T) {
 }
 
 func TestRunRejectsBadConfig(t *testing.T) {
-	tests := [][]string{
-		{"-backend", "btree"},
-		{"-mode", "arc"},
-		{"-addr", "256.0.0.1:bad"},
-		{"-protocol", "gopher"},
-		{"-nosuchflag"},
+	tests := []struct {
+		args []string
+		want int // 2 = rejected by flag parsing, 1 = rejected by the server
+	}{
+		{[]string{"-backend", "btree"}, 1},
+		{[]string{"-mode", "arc"}, 1},
+		{[]string{"-addr", "256.0.0.1:bad"}, 1},
+		{[]string{"-protocol", "gopher"}, 1},
+		{[]string{"-nosuchflag"}, 2},
+		{[]string{"-batch=false"}, 2}, // batching is not optional
 	}
-	for _, args := range tests {
+	for _, tc := range tests {
 		var logs syncBuffer
-		if code := run(args, &logs, nil); code == 0 {
-			t.Errorf("run(%v) = 0, want nonzero", args)
+		if code := run(tc.args, &logs, nil); code != tc.want {
+			t.Errorf("run(%v) = %d, want %d", tc.args, code, tc.want)
 		}
 	}
 }

@@ -134,7 +134,7 @@ func checkFunc(pass *framework.Pass, body *ast.BlockStmt) {
 
 // recordAssign classifies one assignment's right-hand side.
 func (st *funcState) recordAssign(pass *framework.Pass, lhs, rhs ast.Expr) {
-	id, ok := unparen(lhs).(*ast.Ident)
+	id, ok := ast.Unparen(lhs).(*ast.Ident)
 	if !ok || id.Name == "_" {
 		return
 	}
@@ -147,7 +147,7 @@ func (st *funcState) recordAssign(pass *framework.Pass, lhs, rhs ast.Expr) {
 		return
 	}
 	kind := assignOther
-	if call, ok := unparen(rhs).(*ast.CallExpr); ok {
+	if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok {
 		if fn := calleeFunc(pass, call); fn != nil {
 			switch {
 			case fn.Name() == "SafeRead" || fn.Name() == "safeRead" || fn.Name() == "Alloc":
@@ -168,7 +168,7 @@ func (st *funcState) judge(pass *framework.Pass, cas *ast.CallExpr) {
 	if expected == nil {
 		return
 	}
-	id, ok := unparen(expected).(*ast.Ident)
+	id, ok := ast.Unparen(expected).(*ast.Ident)
 	if !ok {
 		return
 	}
@@ -207,11 +207,11 @@ func (st *funcState) judge(pass *framework.Pass, cas *ast.CallExpr) {
 // loads exempted are those of an atomic value held in a function-local
 // variable and addressed directly — nothing else can see those.
 func isSharedLoad(pass *framework.Pass, call *ast.CallExpr) bool {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return true
 	}
-	recv, ok := unparen(sel.X).(*ast.Ident)
+	recv, ok := ast.Unparen(sel.X).(*ast.Ident)
 	if !ok {
 		return true // field chains (m.head), derived expressions: shared
 	}
@@ -305,7 +305,7 @@ func expectedArg(pass *framework.Pass, call *ast.CallExpr) ast.Expr {
 // calleeFunc resolves the *types.Func a call invokes, or nil for calls
 // through function values, conversions, and builtins.
 func calleeFunc(pass *framework.Pass, call *ast.CallExpr) *types.Func {
-	switch fun := unparen(call.Fun).(type) {
+	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:
 		fn, _ := pass.TypesInfo.Uses[fun.Sel].(*types.Func)
 		return fn
@@ -313,24 +313,14 @@ func calleeFunc(pass *framework.Pass, call *ast.CallExpr) *types.Func {
 		fn, _ := pass.TypesInfo.Uses[fun].(*types.Func)
 		return fn
 	case *ast.IndexExpr: // explicit generic instantiation f[T](...)
-		if id, ok := unparen(fun.X).(*ast.Ident); ok {
+		if id, ok := ast.Unparen(fun.X).(*ast.Ident); ok {
 			fn, _ := pass.TypesInfo.Uses[id].(*types.Func)
 			return fn
 		}
-		if sel, ok := unparen(fun.X).(*ast.SelectorExpr); ok {
+		if sel, ok := ast.Unparen(fun.X).(*ast.SelectorExpr); ok {
 			fn, _ := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
 			return fn
 		}
 	}
 	return nil
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }

@@ -12,7 +12,10 @@
 // where each Go string literal is a regular expression that must match one
 // diagnostic reported on that line. Diagnostics without a matching
 // expectation, and expectations without a matching diagnostic, fail the
-// test.
+// test. A fixture that several analyzers run over names the analyzer a
+// literal is for, and the others skip it:
+//
+//	m.Pin() // want releasepath:`guard returned by Pin is discarded`
 package analysistest
 
 import (
@@ -65,7 +68,7 @@ func Run(t *testing.T, testdata string, a *framework.Analyzer, pkg string) {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				pos := ld.Fset().Position(c.Pos())
-				for _, w := range parseWants(t, pos, c.Text) {
+				for _, w := range parseWants(t, a.Name, pos, c.Text) {
 					wants = append(wants, w)
 				}
 			}
@@ -107,8 +110,9 @@ func Run(t *testing.T, testdata string, a *framework.Analyzer, pkg string) {
 	}
 }
 
-// parseWants extracts the expectations from one comment's text.
-func parseWants(t *testing.T, pos token.Position, text string) []*expectation {
+// parseWants extracts the expectations from one comment's text, skipping
+// literals prefixed with another analyzer's name.
+func parseWants(t *testing.T, analyzer string, pos token.Position, text string) []*expectation {
 	t.Helper()
 	rest, ok := strings.CutPrefix(strings.TrimSpace(strings.TrimPrefix(text, "//")), "want ")
 	if !ok {
@@ -119,6 +123,13 @@ func parseWants(t *testing.T, pos token.Position, text string) []*expectation {
 	var wants []*expectation
 	rest = strings.TrimSpace(rest)
 	for rest != "" {
+		// An analyzer name before the literal: `name:"re"`.
+		name, after, found := strings.Cut(rest, ":")
+		if found && !strings.ContainsAny(name, "`\"") {
+			rest = after
+		} else {
+			name = ""
+		}
 		lit, remainder, err := cutStringLiteral(rest)
 		if err != nil {
 			t.Fatalf("%s: malformed want comment %q: %v", position, text, err)
@@ -131,7 +142,9 @@ func parseWants(t *testing.T, pos token.Position, text string) []*expectation {
 		if err != nil {
 			t.Fatalf("%s: bad want regexp %q: %v", position, pattern, err)
 		}
-		wants = append(wants, &expectation{file: file, line: line, re: re})
+		if name == "" || name == analyzer {
+			wants = append(wants, &expectation{file: file, line: line, re: re})
+		}
 		rest = strings.TrimSpace(remainder)
 	}
 	return wants

@@ -77,7 +77,7 @@ func run(pass *framework.Pass) (any, error) {
 // value: an identifier, field selection, dereference, or index — but not a
 // composite literal or call, which construct fresh values.
 func (c *checker) checkCopy(e ast.Expr, verb string) {
-	switch unparen(e).(type) {
+	switch ast.Unparen(e).(type) {
 	case *ast.Ident, *ast.SelectorExpr, *ast.StarExpr, *ast.IndexExpr:
 	default:
 		return
@@ -164,14 +164,4 @@ func (c *checker) exprType(e ast.Expr) types.Type {
 func isBlank(e ast.Expr) bool {
 	id, ok := e.(*ast.Ident)
 	return ok && id.Name == "_"
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }

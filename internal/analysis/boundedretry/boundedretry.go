@@ -165,7 +165,7 @@ func condComparesError(pass *framework.Pass, cond ast.Expr, op token.Token) bool
 }
 
 func isNilIdent(e ast.Expr) bool {
-	id, ok := unparen(e).(*ast.Ident)
+	id, ok := ast.Unparen(e).(*ast.Ident)
 	return ok && id.Name == "nil"
 }
 
@@ -318,7 +318,7 @@ func recvNamed(sig *types.Signature) string {
 // calleeFunc resolves the *types.Func a call invokes, or nil for calls
 // through function values, conversions, and builtins.
 func calleeFunc(pass *framework.Pass, call *ast.CallExpr) *types.Func {
-	switch fun := unparen(call.Fun).(type) {
+	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:
 		fn, _ := pass.TypesInfo.Uses[fun.Sel].(*types.Func)
 		return fn
@@ -326,24 +326,14 @@ func calleeFunc(pass *framework.Pass, call *ast.CallExpr) *types.Func {
 		fn, _ := pass.TypesInfo.Uses[fun].(*types.Func)
 		return fn
 	case *ast.IndexExpr: // explicit generic instantiation f[T](...)
-		if id, ok := unparen(fun.X).(*ast.Ident); ok {
+		if id, ok := ast.Unparen(fun.X).(*ast.Ident); ok {
 			fn, _ := pass.TypesInfo.Uses[id].(*types.Func)
 			return fn
 		}
-		if sel, ok := unparen(fun.X).(*ast.SelectorExpr); ok {
+		if sel, ok := ast.Unparen(fun.X).(*ast.SelectorExpr); ok {
 			fn, _ := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
 			return fn
 		}
 	}
 	return nil
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }

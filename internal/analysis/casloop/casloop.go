@@ -142,7 +142,7 @@ func checkStaleExpected(pass *framework.Pass, loop *ast.ForStmt, cas *ast.CallEx
 	if old == nil {
 		return
 	}
-	id, ok := unparen(old).(*ast.Ident)
+	id, ok := ast.Unparen(old).(*ast.Ident)
 	if !ok {
 		return
 	}
@@ -220,7 +220,7 @@ func assignedIn(pass *framework.Pass, loop *ast.ForStmt, v *types.Var) bool {
 }
 
 func refersTo(pass *framework.Pass, e ast.Expr, v *types.Var) bool {
-	id, ok := unparen(e).(*ast.Ident)
+	id, ok := ast.Unparen(e).(*ast.Ident)
 	return ok && pass.TypesInfo.Uses[id] == v
 }
 
@@ -260,7 +260,7 @@ func recvTypeName(sig *types.Signature) string {
 // calleeFunc resolves the *types.Func a call invokes, or nil for calls
 // through function values, conversions, and builtins.
 func calleeFunc(pass *framework.Pass, call *ast.CallExpr) *types.Func {
-	switch fun := unparen(call.Fun).(type) {
+	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:
 		fn, _ := pass.TypesInfo.Uses[fun.Sel].(*types.Func)
 		return fn
@@ -268,24 +268,14 @@ func calleeFunc(pass *framework.Pass, call *ast.CallExpr) *types.Func {
 		fn, _ := pass.TypesInfo.Uses[fun].(*types.Func)
 		return fn
 	case *ast.IndexExpr: // explicit generic instantiation f[T](...)
-		if id, ok := unparen(fun.X).(*ast.Ident); ok {
+		if id, ok := ast.Unparen(fun.X).(*ast.Ident); ok {
 			fn, _ := pass.TypesInfo.Uses[id].(*types.Func)
 			return fn
 		}
-		if sel, ok := unparen(fun.X).(*ast.SelectorExpr); ok {
+		if sel, ok := ast.Unparen(fun.X).(*ast.SelectorExpr); ok {
 			fn, _ := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
 			return fn
 		}
 	}
 	return nil
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }

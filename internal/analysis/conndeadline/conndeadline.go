@@ -109,11 +109,11 @@ func checkFunc(pass *framework.Pass, body *ast.BlockStmt) {
 			if !blockingMethods[fn.Name()] {
 				return true
 			}
-			sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+			sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 			if !ok {
 				return true
 			}
-			recv := unparen(sel.X)
+			recv := ast.Unparen(sel.X)
 			if t := pass.TypesInfo.TypeOf(recv); t != nil && deadlineCapable(t) {
 				blocks = append(blocks, site{call.Pos(), fn.Name() + " on connection"})
 				return true
@@ -128,7 +128,7 @@ func checkFunc(pass *framework.Pass, body *ast.BlockStmt) {
 				t := pass.TypesInfo.TypeOf(arg)
 				argConn := t != nil && deadlineCapable(t)
 				if !argConn {
-					if id, ok := unparen(arg).(*ast.Ident); ok && buffered[pass.TypesInfo.ObjectOf(id)] {
+					if id, ok := ast.Unparen(arg).(*ast.Ident); ok && buffered[pass.TypesInfo.ObjectOf(id)] {
 						argConn = true
 					}
 				}
@@ -166,7 +166,7 @@ func bufioOverConns(pass *framework.Pass, body *ast.BlockStmt) map[types.Object]
 		if !ok || len(as.Rhs) != 1 {
 			return true
 		}
-		call, ok := unparen(as.Rhs[0]).(*ast.CallExpr)
+		call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
 		if !ok {
 			return true
 		}
@@ -189,7 +189,7 @@ func bufioOverConns(pass *framework.Pass, body *ast.BlockStmt) map[types.Object]
 			return true
 		}
 		for _, lhs := range as.Lhs {
-			if id, ok := unparen(lhs).(*ast.Ident); ok {
+			if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
 				if obj := pass.TypesInfo.ObjectOf(id); obj != nil {
 					out[obj] = true
 				}
@@ -250,7 +250,7 @@ func bufioTypeName(pass *framework.Pass, e ast.Expr) string {
 // calleeFunc resolves the *types.Func a call invokes, or nil for calls
 // through function values, conversions, and builtins.
 func calleeFunc(pass *framework.Pass, call *ast.CallExpr) *types.Func {
-	switch fun := unparen(call.Fun).(type) {
+	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:
 		fn, _ := pass.TypesInfo.Uses[fun.Sel].(*types.Func)
 		return fn
@@ -259,14 +259,4 @@ func calleeFunc(pass *framework.Pass, call *ast.CallExpr) *types.Func {
 		return fn
 	}
 	return nil
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }

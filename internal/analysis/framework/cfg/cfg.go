@@ -262,7 +262,7 @@ func (b *builder) stmt(s ast.Stmt) {
 
 	case *ast.ExprStmt:
 		b.add(s)
-		if call, ok := unparen(s.X).(*ast.CallExpr); ok && b.isPanic(call) {
+		if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok && b.isPanic(call) {
 			b.edgeTo(b.exit, Panic, nil, nil)
 			b.cur = nil
 		}
@@ -559,7 +559,7 @@ func (b *builder) labelFor(name string) *labelInfo {
 
 // isPanic reports whether call invokes the panic builtin.
 func (b *builder) isPanic(call *ast.CallExpr) bool {
-	id, ok := unparen(call.Fun).(*ast.Ident)
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
 	if !ok || id.Name != "panic" {
 		return false
 	}
@@ -610,14 +610,4 @@ func (b *builder) finish(entry *Block) *Graph {
 		blk.Preds = preds
 	}
 	return g
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }

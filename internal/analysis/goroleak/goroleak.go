@@ -94,7 +94,7 @@ func run(pass *framework.Pass) (any, error) {
 			if !ok {
 				return true
 			}
-			switch fun := unparen(g.Call.Fun).(type) {
+			switch fun := ast.Unparen(g.Call.Fun).(type) {
 			case *ast.FuncLit:
 				if spineNeverReturns(pass, fun.Body.List, noret) {
 					pass.Categorizef("goroutine-leak", g.Pos(),
@@ -140,7 +140,7 @@ func spineNeverReturns(pass *framework.Pass, stmts []ast.Stmt, noret map[*types.
 				return true // select{} blocks forever
 			}
 		case *ast.ExprStmt:
-			if call, ok := unparen(s.X).(*ast.CallExpr); ok {
+			if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok {
 				if fn := calleeFunc(pass, call); fn != nil && isNoReturnFunc(pass, fn, noret) {
 					return true
 				}
@@ -214,7 +214,7 @@ func loopEscapes(pass *framework.Pass, l *ast.ForStmt) bool {
 // isTerminatingCall recognizes calls that end the goroutine (or the whole
 // process): panic, os.Exit, runtime.Goexit, log.Fatal and variants.
 func isTerminatingCall(pass *framework.Pass, call *ast.CallExpr) bool {
-	if id, ok := unparen(call.Fun).(*ast.Ident); ok {
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if b, ok := pass.TypesInfo.Uses[id].(*types.Builtin); ok {
 			return b.Name() == "panic"
 		}
@@ -237,7 +237,7 @@ func isTerminatingCall(pass *framework.Pass, call *ast.CallExpr) bool {
 // calleeFunc resolves the *types.Func a call invokes, or nil for calls
 // through function values, conversions, and builtins.
 func calleeFunc(pass *framework.Pass, call *ast.CallExpr) *types.Func {
-	switch fun := unparen(call.Fun).(type) {
+	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:
 		fn, _ := pass.TypesInfo.Uses[fun.Sel].(*types.Func)
 		return fn
@@ -246,14 +246,4 @@ func calleeFunc(pass *framework.Pass, call *ast.CallExpr) *types.Func {
 		return fn
 	}
 	return nil
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }

@@ -293,7 +293,7 @@ func inspectNoFuncLit(n ast.Node, f func(ast.Node) bool) {
 // recordLocal marks lhs as a tracked pointer when rhs constructs a fresh
 // struct: &T{...} or new(T).
 func recordLocal(pass *framework.Pass, locals map[*types.Var]bool, lhs, rhs ast.Expr) {
-	id, ok := unparen(lhs).(*ast.Ident)
+	id, ok := ast.Unparen(lhs).(*ast.Ident)
 	if !ok || id.Name == "_" {
 		return
 	}
@@ -306,13 +306,13 @@ func recordLocal(pass *framework.Pass, locals map[*types.Var]bool, lhs, rhs ast.
 		return
 	}
 	fresh := false
-	switch rhs := unparen(rhs).(type) {
+	switch rhs := ast.Unparen(rhs).(type) {
 	case *ast.UnaryExpr:
 		if rhs.Op == token.AND {
-			_, fresh = unparen(rhs.X).(*ast.CompositeLit)
+			_, fresh = ast.Unparen(rhs.X).(*ast.CompositeLit)
 		}
 	case *ast.CallExpr:
-		if fun, ok := unparen(rhs.Fun).(*ast.Ident); ok {
+		if fun, ok := ast.Unparen(rhs.Fun).(*ast.Ident); ok {
 			if b, ok := pass.TypesInfo.Uses[fun].(*types.Builtin); ok && b.Name() == "new" {
 				fresh = true
 			}
@@ -359,7 +359,7 @@ func recordCallPublication(pass *framework.Pass, locals map[*types.Var]bool, f f
 // asFieldWrite decodes expr as a plain field write x.f through a tracked
 // pointer x.
 func asFieldWrite(pass *framework.Pass, locals map[*types.Var]bool, expr ast.Expr) (fieldWrite, bool) {
-	sel, ok := unparen(expr).(*ast.SelectorExpr)
+	sel, ok := ast.Unparen(expr).(*ast.SelectorExpr)
 	if !ok {
 		return fieldWrite{}, false
 	}
@@ -375,7 +375,7 @@ func asFieldWrite(pass *framework.Pass, locals map[*types.Var]bool, expr ast.Exp
 
 // localIdent resolves e to a tracked local pointer variable, or nil.
 func localIdent(pass *framework.Pass, locals map[*types.Var]bool, e ast.Expr) *types.Var {
-	id, ok := unparen(e).(*ast.Ident)
+	id, ok := ast.Unparen(e).(*ast.Ident)
 	if !ok {
 		return nil
 	}
@@ -418,7 +418,7 @@ func hasAtomicField(t types.Type) bool {
 // calleeFunc resolves the *types.Func a call invokes, or nil for calls
 // through function values, conversions, and builtins.
 func calleeFunc(pass *framework.Pass, call *ast.CallExpr) *types.Func {
-	switch fun := unparen(call.Fun).(type) {
+	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:
 		fn, _ := pass.TypesInfo.Uses[fun.Sel].(*types.Func)
 		return fn
@@ -426,24 +426,14 @@ func calleeFunc(pass *framework.Pass, call *ast.CallExpr) *types.Func {
 		fn, _ := pass.TypesInfo.Uses[fun].(*types.Func)
 		return fn
 	case *ast.IndexExpr: // explicit generic instantiation f[T](...)
-		if id, ok := unparen(fun.X).(*ast.Ident); ok {
+		if id, ok := ast.Unparen(fun.X).(*ast.Ident); ok {
 			fn, _ := pass.TypesInfo.Uses[id].(*types.Func)
 			return fn
 		}
-		if sel, ok := unparen(fun.X).(*ast.SelectorExpr); ok {
+		if sel, ok := ast.Unparen(fun.X).(*ast.SelectorExpr); ok {
 			fn, _ := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
 			return fn
 		}
 	}
 	return nil
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }

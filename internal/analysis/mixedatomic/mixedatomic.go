@@ -49,7 +49,7 @@ func run(pass *framework.Pass) (any, error) {
 			if !ok || addr.Op != token.AND {
 				return true
 			}
-			sel, ok := unparen(addr.X).(*ast.SelectorExpr)
+			sel, ok := ast.Unparen(addr.X).(*ast.SelectorExpr)
 			if !ok {
 				return true
 			}
@@ -92,7 +92,7 @@ func run(pass *framework.Pass) (any, error) {
 // sync/atomic (the address-taking Load/Store/Add/Swap/CompareAndSwap
 // family — the package exports nothing else at package level).
 func isAtomicCall(pass *framework.Pass, call *ast.CallExpr) bool {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
@@ -111,14 +111,4 @@ func fieldOf(pass *framework.Pass, sel *ast.SelectorExpr) *types.Var {
 	}
 	v, _ := s.Obj().(*types.Var)
 	return v
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }

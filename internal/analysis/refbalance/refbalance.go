@@ -4,9 +4,9 @@
 // control-flow path — including references that flow through helper
 // functions.
 //
-// The intraprocedural saferead analyzer must assume that any call taking a
-// tracked reference as an argument assumes ownership of it, because it
-// knows nothing about the callee. That assumption hides the two bug
+// An intraprocedural check (releasepath is one) must assume that any call
+// taking a tracked reference as an argument assumes ownership of it,
+// because it knows nothing about the callee. That assumption hides the two bug
 // classes the paper's Theorems 4 and 5 rule out only when the protocol is
 // followed exactly:
 //
@@ -27,7 +27,7 @@
 //
 // The protocol functions themselves are recognized by name (SafeRead,
 // Release, ReleaseNodes, AddRef, Alloc — the vocabulary of Figures 15–18),
-// exactly as the saferead analyzer does.
+// exactly as the releasepath analyzer does.
 //
 // The function body is interpreted path by path over its control-flow
 // graph (framework/cfg), with branch edges carrying their conditions so
@@ -38,7 +38,7 @@
 // references into a group: proving one nil (`if q == nil`) discharges the
 // whole group, so the correlated-nil idiom needs no suppression.
 //
-// Like saferead, the analysis errs toward leniency: a reference that
+// Like releasepath, the analysis errs toward leniency: a reference that
 // reaches any operation with unknown semantics stops being tracked, loop
 // exploration is bounded by the interpreter's visit budget, and paths that
 // end in panic are exempt (the releasepath analyzer owns exit-path
@@ -178,7 +178,7 @@ func (a *analysis) leakCheck(st state) {
 func (a *analysis) applyNode(n ast.Node, st state) {
 	switch n := n.(type) {
 	case *ast.ExprStmt:
-		if call, ok := unparen(n.X).(*ast.CallExpr); ok {
+		if call, ok := ast.Unparen(n.X).(*ast.CallExpr); ok {
 			if sum := a.summaryOf(call); sum.plusResult(0) {
 				a.report(call.Pos(), "leak",
 					"result of %s carries a counted reference that is discarded", calleeName(a.pass, call))
@@ -234,7 +234,7 @@ func (a *analysis) refineNil(e *cfg.Edge, st state) {
 	if e.Cond == nil {
 		return
 	}
-	be, ok := unparen(e.Cond).(*ast.BinaryExpr)
+	be, ok := ast.Unparen(e.Cond).(*ast.BinaryExpr)
 	if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
 		return
 	}
@@ -275,7 +275,7 @@ func (a *analysis) interpAssign(s *ast.AssignStmt, st state) {
 	}
 	// q, a := f(): a multi-result call tracked position by position.
 	if len(s.Rhs) == 1 {
-		if call, ok := unparen(s.Rhs[0]).(*ast.CallExpr); ok {
+		if call, ok := ast.Unparen(s.Rhs[0]).(*ast.CallExpr); ok {
 			sum := a.summaryOf(call)
 			a.applyCall(call, st, false)
 			// A nil-together callee's references are born correlated: one
@@ -322,7 +322,7 @@ func (a *analysis) interpValueSpec(vs *ast.ValueSpec, st state) {
 
 func (a *analysis) assignOne(lhs, rhs ast.Expr, st state) {
 	// A +1 call assigned to a local variable starts an obligation.
-	if call, ok := unparen(rhs).(*ast.CallExpr); ok {
+	if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok {
 		sum := a.summaryOf(call)
 		a.applyCall(call, st, false)
 		if sum.plusResult(0) {
@@ -507,7 +507,7 @@ func (a *analysis) isNil(e ast.Expr) bool {
 }
 
 func (a *analysis) varOf(e ast.Expr) *types.Var {
-	id, ok := unparen(e).(*ast.Ident)
+	id, ok := ast.Unparen(e).(*ast.Ident)
 	if !ok {
 		return nil
 	}
@@ -519,7 +519,7 @@ func (a *analysis) varOf(e ast.Expr) *types.Var {
 // denotes, or nil. Package-level variables are shared state and treated as
 // escapes, not obligations.
 func (a *analysis) localVar(e ast.Expr) *types.Var {
-	id, ok := unparen(e).(*ast.Ident)
+	id, ok := ast.Unparen(e).(*ast.Ident)
 	if !ok || id.Name == "_" {
 		return nil
 	}
@@ -539,7 +539,7 @@ func (a *analysis) localVar(e ast.Expr) *types.Var {
 
 // trackedIdent returns the tracked variable e denotes in st, or nil.
 func (a *analysis) trackedIdent(e ast.Expr, st state) *types.Var {
-	id, ok := unparen(e).(*ast.Ident)
+	id, ok := ast.Unparen(e).(*ast.Ident)
 	if !ok {
 		return nil
 	}
@@ -587,7 +587,7 @@ func calleeName(pass *framework.Pass, call *ast.CallExpr) string {
 	if fn := calleeFunc(pass, call); fn != nil {
 		return fn.Name()
 	}
-	switch fun := unparen(call.Fun).(type) {
+	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:
 		return fun.Sel.Name
 	case *ast.Ident:
@@ -599,7 +599,7 @@ func calleeName(pass *framework.Pass, call *ast.CallExpr) string {
 // calleeFunc resolves the *types.Func a call invokes, or nil for calls
 // through function values, conversions, and builtins.
 func calleeFunc(pass *framework.Pass, call *ast.CallExpr) *types.Func {
-	switch fun := unparen(call.Fun).(type) {
+	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:
 		fn, _ := pass.TypesInfo.Uses[fun.Sel].(*types.Func)
 		return fn
@@ -607,26 +607,16 @@ func calleeFunc(pass *framework.Pass, call *ast.CallExpr) *types.Func {
 		fn, _ := pass.TypesInfo.Uses[fun].(*types.Func)
 		return fn
 	case *ast.IndexExpr: // explicit generic instantiation f[T](...)
-		if id, ok := unparen(fun.X).(*ast.Ident); ok {
+		if id, ok := ast.Unparen(fun.X).(*ast.Ident); ok {
 			fn, _ := pass.TypesInfo.Uses[id].(*types.Func)
 			return fn
 		}
-		if sel, ok := unparen(fun.X).(*ast.SelectorExpr); ok {
+		if sel, ok := ast.Unparen(fun.X).(*ast.SelectorExpr); ok {
 			fn, _ := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
 			return fn
 		}
 	}
 	return nil
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }
 
 func statesEqual(a, b state) bool {

@@ -9,4 +9,8 @@ import (
 
 func TestRefBalance(t *testing.T) {
 	analysistest.Run(t, "testdata", refbalance.Analyzer, "a")
+	// The deleted saferead analyzer's fixture: refbalance reports its
+	// leaked, discarded and overwritten references, releasepath (which
+	// houses the file) its exits and discarded guards.
+	analysistest.Run(t, "../releasepath/testdata", refbalance.Analyzer, "saferead")
 }

@@ -87,7 +87,7 @@ func isPointer(t types.Type) bool {
 }
 
 // intrinsicSummary recognizes the paper's protocol functions by name, the
-// same convention the saferead analyzer uses. Name-based recognition keeps
+// same convention the releasepath analyzer uses. Name-based recognition keeps
 // the analyzers applicable to both the real managers (mm.RC, the List
 // wrappers) and test fixtures, and it takes precedence over computed
 // summaries: mm.RC.SafeRead's own body acquires its +1 via a bare
@@ -271,7 +271,7 @@ func (s *summarizer) nilTogether(fd *ast.FuncDecl, sig *types.Signature, sum *Su
 				if !sum.Results[i] {
 					continue
 				}
-				if tv, found := s.pass.TypesInfo.Types[unparen(res)]; found && tv.IsNil() {
+				if tv, found := s.pass.TypesInfo.Types[ast.Unparen(res)]; found && tv.IsNil() {
 					nils++
 				}
 			}
@@ -281,7 +281,7 @@ func (s *summarizer) nilTogether(fd *ast.FuncDecl, sig *types.Signature, sum *Su
 		case len(ret.Results) == 1:
 			// return f() forwarding a multi-result call inherits the
 			// callee's correlation.
-			call, isCall := unparen(ret.Results[0]).(*ast.CallExpr)
+			call, isCall := ast.Unparen(ret.Results[0]).(*ast.CallExpr)
 			if !isCall {
 				ok = false
 				return true
@@ -371,11 +371,11 @@ func (s *summarizer) classifyUse(path []ast.Node) ParamEffect {
 		}
 		return ParamNeutral
 	case *ast.CallExpr:
-		if unparen(parent.Fun) == ast.Expr(id) {
+		if ast.Unparen(parent.Fun) == ast.Expr(id) {
 			return ParamNeutral // calling through the variable, not passing it
 		}
 		for j, arg := range parent.Args {
-			if unparen(arg) == ast.Expr(id) {
+			if ast.Unparen(arg) == ast.Expr(id) {
 				if cas, ok := casShape(s.pass, parent); ok {
 					// Compare&Swap only reads its expected argument; the
 					// stored new value is a transfer.
@@ -429,7 +429,7 @@ func (s *summarizer) plusVars(fd *ast.FuncDecl) map[*types.Var]bool {
 			}
 			if len(as.Lhs) == len(as.Rhs) {
 				for i := range as.Rhs {
-					rhs := unparen(as.Rhs[i])
+					rhs := ast.Unparen(as.Rhs[i])
 					if call, ok := rhs.(*ast.CallExpr); ok {
 						if sum := s.summaryFor(calleeFunc(s.pass, call)); sum.plusResult(0) {
 							mark(as.Lhs[i])
@@ -441,7 +441,7 @@ func (s *summarizer) plusVars(fd *ast.FuncDecl) map[*types.Var]bool {
 					}
 				}
 			} else if len(as.Rhs) == 1 {
-				if call, ok := unparen(as.Rhs[0]).(*ast.CallExpr); ok {
+				if call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr); ok {
 					sum := s.summaryFor(calleeFunc(s.pass, call))
 					for i := range as.Lhs {
 						if sum.plusResult(i) {
@@ -466,7 +466,7 @@ func (s *summarizer) plusVars(fd *ast.FuncDecl) map[*types.Var]bool {
 func (s *summarizer) resultPlus(fd *ast.FuncDecl, sig *types.Signature, i int, plus map[*types.Var]bool) bool {
 	some, veto := false, false
 	classify := func(e ast.Expr) {
-		e = unparen(e)
+		e = ast.Unparen(e)
 		if tv, ok := s.pass.TypesInfo.Types[e]; ok && tv.IsNil() {
 			return
 		}
@@ -507,7 +507,7 @@ func (s *summarizer) resultPlus(fd *ast.FuncDecl, sig *types.Signature, i int, p
 			classify(ret.Results[i])
 		case len(ret.Results) == 1:
 			// return f() forwarding a multi-result call.
-			if call, ok := unparen(ret.Results[0]).(*ast.CallExpr); ok {
+			if call, ok := ast.Unparen(ret.Results[0]).(*ast.CallExpr); ok {
 				if s.summaryFor(calleeFunc(s.pass, call)).plusResult(i) {
 					some = true
 				} else {
@@ -525,7 +525,7 @@ func (s *summarizer) resultPlus(fd *ast.FuncDecl, sig *types.Signature, i int, p
 // usedOrDefinedVar resolves an identifier expression to the non-blank
 // variable it uses or defines, or nil.
 func usedOrDefinedVar(pass *framework.Pass, e ast.Expr) *types.Var {
-	id, ok := unparen(e).(*ast.Ident)
+	id, ok := ast.Unparen(e).(*ast.Ident)
 	if !ok || id.Name == "_" {
 		return nil
 	}

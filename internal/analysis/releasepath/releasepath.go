@@ -7,9 +7,9 @@
 // the count is balanced on EVERY way out of a function. The exits that
 // slip through review are rarely the happy path: they are the early
 // `return nil, err` added after the SafeRead, and the `panic` guarding a
-// broken invariant — an exit the companion analyzers deliberately exempt
-// (saferead and refbalance police paths that complete; this analyzer owns
-// the rest). A reference lost on a panic exit is especially insidious:
+// broken invariant — an exit the companion refbalance analyzer
+// deliberately exempts (it polices paths that complete; this analyzer owns
+// every exit). A reference lost on a panic exit is especially insidious:
 // the process usually survives (a recover upstream), the count stays
 // high forever, and the cell plus everything reachable through its
 // counted links is unreclaimable.
@@ -22,8 +22,11 @@
 // protected region, and a guard that is never handed to Unpin on some
 // exit path leaves that epoch pinned forever — reclamation wedges, limbo
 // grows without bound, and unlike a single lost cell the damage is
-// global. Those findings carry the missing-unpin category. An obligation is discharged by anything that
-// releases or plausibly transfers it: passing the variable to any call
+// global. A guard that is discarded outright — `m.Pin()` as a bare
+// statement, or `_ = m.Pin()` — can never reach Unpin on any path and is
+// reported where it is dropped. Both findings carry the missing-unpin
+// category. An obligation is discharged by anything that releases or
+// plausibly transfers it: passing the variable to any call
 // (Release, ReleaseNodes, or a helper that may assume ownership),
 // returning it, storing it into a structure, capturing it in a closure,
 // sending it on a channel, or proving it nil on the branch taken.
@@ -33,7 +36,7 @@
 //
 // At each exit edge of the CFG the interpreter reports what is still
 // live, with the exit kind in the message: the return being taken, the
-// fall-through end of the function, or the panic. Like its companions it
+// fall-through end of the function, or the panic. Like refbalance it
 // under-approximates — transfer is read broadly, loops are explored under
 // a visit budget — so it misses some leaks but does not flag correct
 // code.
@@ -52,7 +55,7 @@ import (
 var Analyzer = &framework.Analyzer{
 	Name:    "releasepath",
 	Doc:     "report exit paths (including early returns and panics) that abandon an acquired reference",
-	Version: "v1",
+	Version: "v2", // v2: also reports discarded Pin guards
 	Run:     run,
 }
 
@@ -184,10 +187,26 @@ func (a *analysis) exitCheck(e *cfg.Edge, st state) {
 	}
 }
 
+// discardedGuard reports a Pin whose guard is bound to nothing — a bare
+// `m.Pin()` statement or `_ = m.Pin()`. No path can hand it to Unpin, so
+// there is no exit to wait for.
+func (a *analysis) discardedGuard(call *ast.CallExpr) {
+	key := reportKey{pos: call.Pos()}
+	if a.reported[key] {
+		return
+	}
+	a.reported[key] = true
+	a.pass.Categorizef("missing-unpin", call.Pos(),
+		"guard returned by %s is discarded: it can never be unpinned, so the pinned epoch wedges reclamation", calleeName(call))
+}
+
 // applyNode interprets one evaluated CFG node against one state.
 func (a *analysis) applyNode(n ast.Node, st state) {
 	switch n := n.(type) {
 	case *ast.ExprStmt:
+		if call, ok := ast.Unparen(n.X).(*ast.CallExpr); ok && a.isPinCall(call) {
+			a.discardedGuard(call)
+		}
 		a.evalExpr(n.X, st, false)
 
 	case *ast.AssignStmt:
@@ -236,7 +255,7 @@ func (a *analysis) refineNil(e *cfg.Edge, st state) {
 	if e.Cond == nil {
 		return
 	}
-	be, ok := unparen(e.Cond).(*ast.BinaryExpr)
+	be, ok := ast.Unparen(e.Cond).(*ast.BinaryExpr)
 	if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
 		return
 	}
@@ -267,7 +286,7 @@ func (a *analysis) interpAssign(s *ast.AssignStmt, st state) {
 	}
 	for _, lhs := range s.Lhs {
 		if lv := a.localVar(lhs); lv != nil {
-			delete(st, lv) // overwriting is saferead/refbalance's concern
+			delete(st, lv) // overwriting is refbalance's concern
 			continue
 		}
 		a.evalExpr(lhs, st, false)
@@ -287,11 +306,14 @@ func (a *analysis) interpValueSpec(vs *ast.ValueSpec, st state) {
 }
 
 func (a *analysis) assignOne(lhs, rhs ast.Expr, st state) {
-	if call, ok := unparen(rhs).(*ast.CallExpr); ok && (a.isAcquireCall(call) || a.isPinCall(call)) {
+	if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok && (a.isAcquireCall(call) || a.isPinCall(call)) {
 		a.evalExpr(call, st, false)
 		if lv := a.localVar(lhs); lv != nil {
 			st[lv] = obligation{pos: call.Pos(), source: calleeName(call), pin: a.isPinCall(call)}
 			return
+		}
+		if id, ok := ast.Unparen(lhs).(*ast.Ident); ok && id.Name == "_" && a.isPinCall(call) {
+			a.discardedGuard(call)
 		}
 		// Stored straight into a field or element: ownership transferred.
 		a.evalExpr(lhs, st, false)
@@ -385,7 +407,7 @@ func (a *analysis) isNil(e ast.Expr) bool {
 }
 
 func (a *analysis) varOf(e ast.Expr) *types.Var {
-	id, ok := unparen(e).(*ast.Ident)
+	id, ok := ast.Unparen(e).(*ast.Ident)
 	if !ok {
 		return nil
 	}
@@ -396,7 +418,7 @@ func (a *analysis) varOf(e ast.Expr) *types.Var {
 // localVar returns the function-local, non-blank variable an lvalue
 // denotes, or nil.
 func (a *analysis) localVar(e ast.Expr) *types.Var {
-	id, ok := unparen(e).(*ast.Ident)
+	id, ok := ast.Unparen(e).(*ast.Ident)
 	if !ok || id.Name == "_" {
 		return nil
 	}
@@ -416,7 +438,7 @@ func (a *analysis) localVar(e ast.Expr) *types.Var {
 
 // trackedIdent returns the tracked variable e denotes in st, or nil.
 func (a *analysis) trackedIdent(e ast.Expr, st state) *types.Var {
-	id, ok := unparen(e).(*ast.Ident)
+	id, ok := ast.Unparen(e).(*ast.Ident)
 	if !ok {
 		return nil
 	}
@@ -468,7 +490,7 @@ func (a *analysis) isPinCall(call *ast.CallExpr) bool {
 
 // calleeName returns the simple name of the called function or method.
 func calleeName(call *ast.CallExpr) string {
-	switch fun := unparen(call.Fun).(type) {
+	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:
 		return fun.Sel.Name
 	case *ast.Ident:
@@ -487,14 +509,4 @@ func statesEqual(a, b state) bool {
 		}
 	}
 	return true
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }

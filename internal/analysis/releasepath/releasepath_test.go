@@ -9,4 +9,7 @@ import (
 
 func TestReleasePath(t *testing.T) {
 	analysistest.Run(t, "testdata", releasepath.Analyzer, "a")
+	// The deleted saferead analyzer's fixture, shared with refbalance's
+	// test: every line it flagged is still flagged by one of the two.
+	analysistest.Run(t, "testdata", releasepath.Analyzer, "saferead")
 }

@@ -1,5 +1,5 @@
-// Package a is the saferead fixture: every SafeRead must reach a Release
-// (or an ownership transfer) on all control-flow paths.
+// Package a is the deleted saferead analyzer's fixture, line for line: the
+// releasepath and refbalance tests both run it, each with its own wants.
 package a
 
 import "sync/atomic"
@@ -39,14 +39,14 @@ func (m *mgr) Release(n *node) {
 
 // leakStraightLine never releases the reference at all.
 func leakStraightLine(m *mgr) int {
-	q := m.SafeRead(&m.head) // want `SafeRead result in q is not Released on every path`
+	q := m.SafeRead(&m.head) // want releasepath:`reference in q \(from SafeRead\) is not released or transferred on the exit path through the return at line \d+` refbalance:`counted reference in q \(from SafeRead\) is not released on every path`
 	return q.item
 }
 
 // leakOnEarlyReturn releases on the main path but not before the guard
 // clause returns.
 func leakOnEarlyReturn(m *mgr, limit int) int {
-	q := m.SafeRead(&m.head) // want `SafeRead result in q is not Released on every path`
+	q := m.SafeRead(&m.head) // want releasepath:`reference in q \(from SafeRead\) is not released or transferred on the exit path through the return at line \d+` refbalance:`counted reference in q \(from SafeRead\) is not released on every path`
 	if limit == 0 {
 		return -1 // leaks q
 	}
@@ -57,13 +57,13 @@ func leakOnEarlyReturn(m *mgr, limit int) int {
 
 // leakDiscarded drops the result on the floor.
 func leakDiscarded(m *mgr) {
-	m.SafeRead(&m.head) // want `result of SafeRead is discarded`
+	m.SafeRead(&m.head) // want refbalance:`result of SafeRead carries a counted reference that is discarded`
 }
 
 // leakOverwrite re-reads into the same variable while the first reference
 // is still live.
 func leakOverwrite(m *mgr) {
-	q := m.SafeRead(&m.head) // want `SafeRead result in q is overwritten before being Released`
+	q := m.SafeRead(&m.head) // want refbalance:`counted reference in q \(from SafeRead\) is overwritten before being released`
 	q = m.SafeRead(&m.head)
 	m.Release(q)
 }
@@ -151,12 +151,12 @@ func (m *mgr) Unpin(g guard) { _ = g }
 // discardedGuard drops the guard on the floor: with no handle, the pin
 // can never be released and reclamation wedges at this epoch.
 func discardedGuard(m *mgr) {
-	m.Pin() // want `guard returned by Pin is discarded`
+	m.Pin() // want releasepath:`guard returned by Pin is discarded`
 }
 
 // blankGuard discards through the blank identifier — same wedge.
 func blankGuard(m *mgr) {
-	_ = m.Pin() // want `guard returned by Pin is discarded`
+	_ = m.Pin() // want releasepath:`guard returned by Pin is discarded`
 }
 
 // pinnedRegion is the clean shape: guard bound, deferred unpin, counted

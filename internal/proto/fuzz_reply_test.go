@@ -73,7 +73,7 @@ func FuzzReadReply(f *testing.F) {
 }
 
 // FuzzCommandRoundTrip checks that for every command the client can
-// legally send, WriteCommand → ReadCommand is the identity, and that
+// legally send, AppendCommand → ReadCommand is the identity, and that
 // re-encoding the parsed command reproduces the original bytes — the
 // two ends of the protocol cannot drift apart on any input.
 func FuzzCommandRoundTrip(f *testing.F) {
@@ -86,7 +86,7 @@ func FuzzCommandRoundTrip(f *testing.F) {
 	f.Add(int(VerbQuit), "", []byte(nil), 0)
 	f.Fuzz(func(t *testing.T, verb int, key string, value []byte, count int) {
 		cmd := Command{Verb: Verb(verb), Key: key, Value: value, Count: count}
-		// Constrain to commands a correct client emits: WriteCommand does
+		// Constrain to commands a correct client emits: AppendCommand does
 		// not validate (the server's parser is the gate), so inputs the
 		// wire grammar cannot represent are out of scope here.
 		switch cmd.Verb {
@@ -112,15 +112,12 @@ func FuzzCommandRoundTrip(f *testing.F) {
 			cmd.Count = 0
 		}
 
-		var wire bytes.Buffer
-		w := bufio.NewWriter(&wire)
-		if err := WriteCommand(w, cmd); err != nil {
-			t.Fatalf("WriteCommand(%+v): %v", cmd, err)
+		encoded, err := AppendCommand(nil, cmd)
+		if err != nil {
+			t.Fatalf("AppendCommand(%+v): %v", cmd, err)
 		}
-		w.Flush()
-		encoded := append([]byte(nil), wire.Bytes()...)
 
-		parsed, err := ReadCommand(bufio.NewReader(&wire))
+		parsed, err := ReadCommand(bufio.NewReader(bytes.NewReader(encoded)))
 		if err != nil {
 			t.Fatalf("ReadCommand of our own encoding %q: %v", encoded, err)
 		}
@@ -128,14 +125,12 @@ func FuzzCommandRoundTrip(f *testing.F) {
 			t.Fatalf("round trip changed the command:\nsent   %+v\nparsed %+v", cmd, parsed)
 		}
 
-		var again bytes.Buffer
-		w2 := bufio.NewWriter(&again)
-		if err := WriteCommand(w2, parsed); err != nil {
+		again, err := AppendCommand(nil, parsed)
+		if err != nil {
 			t.Fatalf("re-encoding parsed command: %v", err)
 		}
-		w2.Flush()
-		if !bytes.Equal(again.Bytes(), encoded) {
-			t.Fatalf("re-encoding differs:\nfirst  %q\nsecond %q", encoded, again.Bytes())
+		if !bytes.Equal(again, encoded) {
+			t.Fatalf("re-encoding differs:\nfirst  %q\nsecond %q", encoded, again)
 		}
 	})
 }

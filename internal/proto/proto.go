@@ -344,8 +344,8 @@ func (tc *TextCodec) Complete(buf []byte) bool {
 
 // AppendCommand appends the canonical wire encoding of c to dst and
 // returns the extended slice. This is THE single-command encoder: the
-// client's WriteCommand delegates to it, and the durability layer
-// (internal/persist) frames its output as AOF and snapshot records — so
+// client sends its output, and the durability layer
+// (internal/persist) frames it as AOF and snapshot records — so
 // a log record is byte-for-byte what the wire would carry, and replay is
 // the same ReadCommand path the server already trusts.
 func AppendCommand(dst []byte, c Command) ([]byte, error) {
@@ -394,17 +394,6 @@ func DecodeCommand(payload []byte) (Command, error) {
 	return c, nil
 }
 
-// WriteCommand writes one request in wire form (the client side of
-// ReadCommand). The caller flushes.
-func WriteCommand(w *bufio.Writer, c Command) error {
-	buf, err := AppendCommand(nil, c)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
-}
-
 // Reply lines.
 const (
 	ReplyStored   = "STORED"
@@ -412,59 +401,6 @@ const (
 	ReplyNotFound = "NOT_FOUND"
 	ReplyEnd      = "END"
 )
-
-// WriteLine writes one reply line with the CRLF terminator.
-func WriteLine(w *bufio.Writer, line string) error {
-	if _, err := w.WriteString(line); err != nil {
-		return err
-	}
-	_, err := w.WriteString("\r\n")
-	return err
-}
-
-// WriteValue writes one VALUE block of a GET or RANGE reply.
-func WriteValue(w *bufio.Writer, key string, value []byte) error {
-	if _, err := fmt.Fprintf(w, "VALUE %s %d\r\n", key, len(value)); err != nil {
-		return err
-	}
-	if _, err := w.Write(value); err != nil {
-		return err
-	}
-	_, err := w.WriteString("\r\n")
-	return err
-}
-
-// WriteStat writes one STAT line of a STATS reply.
-func WriteStat(w *bufio.Writer, name, value string) error {
-	_, err := fmt.Fprintf(w, "STAT %s %s\r\n", name, value)
-	return err
-}
-
-// WriteClientError writes a CLIENT_ERROR reply.
-func WriteClientError(w *bufio.Writer, msg string) error {
-	_, err := fmt.Fprintf(w, "CLIENT_ERROR %s\r\n", sanitize(msg))
-	return err
-}
-
-// WriteServerError writes a SERVER_ERROR reply.
-func WriteServerError(w *bufio.Writer, msg string) error {
-	_, err := fmt.Fprintf(w, "SERVER_ERROR %s\r\n", sanitize(msg))
-	return err
-}
-
-// WriteError writes the bare ERROR reply for an unknown verb.
-func WriteError(w *bufio.Writer) error { return WriteLine(w, "ERROR") }
-
-// sanitize keeps reply messages single-line so they cannot break framing.
-func sanitize(msg string) string {
-	b := []byte(msg)
-	for i, c := range b {
-		if c == '\r' || c == '\n' {
-			b[i] = ' '
-		}
-	}
-	return string(b)
-}
 
 // ReplyError is an ERROR / CLIENT_ERROR / SERVER_ERROR reply surfaced on
 // the client side.

@@ -129,8 +129,8 @@ func TestReadCommandEOF(t *testing.T) {
 	}
 }
 
-// TestCommandRoundTrip writes every verb with WriteCommand and parses it
-// back with ReadCommand.
+// TestCommandRoundTrip encodes every verb with AppendCommand and parses
+// it back with ReadCommand.
 func TestCommandRoundTrip(t *testing.T) {
 	cmds := []Command{
 		{Verb: VerbGet, Key: "alpha"},
@@ -141,19 +141,18 @@ func TestCommandRoundTrip(t *testing.T) {
 		{Verb: VerbStats},
 		{Verb: VerbQuit},
 	}
-	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
+	var wire []byte
 	for _, c := range cmds {
-		if err := WriteCommand(w, c); err != nil {
-			t.Fatalf("WriteCommand(%v): %v", c.Verb, err)
+		var err error
+		if wire, err = AppendCommand(wire, c); err != nil {
+			t.Fatalf("AppendCommand(%v): %v", c.Verb, err)
 		}
 	}
-	w.Flush()
-	r := bufio.NewReader(&buf)
+	r := bufio.NewReader(bytes.NewReader(wire))
 	for _, want := range cmds {
 		got, err := ReadCommand(r)
 		if err != nil {
-			t.Fatalf("ReadCommand after Write(%v): %v", want.Verb, err)
+			t.Fatalf("ReadCommand after AppendCommand(%v): %v", want.Verb, err)
 		}
 		if got.Verb != want.Verb || got.Key != want.Key || got.Count != want.Count ||
 			!bytes.Equal(got.Value, want.Value) {
@@ -162,15 +161,15 @@ func TestCommandRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReplyLines reads the server's text reply writers back with the
+// client's readers.
 func TestReplyLines(t *testing.T) {
-	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	WriteValue(w, "k", []byte("vv"))
-	WriteStat(w, "ops", "12")
-	WriteLine(w, ReplyEnd)
-	w.Flush()
+	var tc TextCodec
+	wire := tc.AppendRangeItem(nil, "k", []byte("vv"))
+	wire = tc.AppendStatItem(wire, "ops", "12")
+	wire = tc.AppendStatsTrailer(wire)
 
-	r := bufio.NewReader(&buf)
+	r := bufio.NewReader(bytes.NewReader(wire))
 	fields, err := ReadReplyLine(r)
 	if err != nil || len(fields) != 3 || fields[0] != "VALUE" || fields[1] != "k" {
 		t.Fatalf("VALUE header = %v, %v", fields, err)
@@ -188,14 +187,12 @@ func TestReplyLines(t *testing.T) {
 }
 
 func TestReplyErrors(t *testing.T) {
-	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	WriteClientError(w, "bad\r\nthing")
-	WriteServerError(w, "boom")
-	WriteError(w)
-	w.Flush()
+	var tc TextCodec
+	wire := tc.AppendClientError(nil, "bad\r\nthing")
+	wire = tc.AppendServerError(wire, "boom")
+	wire = tc.AppendUnknownVerb(wire)
 
-	r := bufio.NewReader(&buf)
+	r := bufio.NewReader(bytes.NewReader(wire))
 	for _, wantKind := range []string{"CLIENT_ERROR", "SERVER_ERROR", "ERROR"} {
 		_, err := ReadReplyLine(r)
 		var re *ReplyError
@@ -209,8 +206,7 @@ func TestReplyErrors(t *testing.T) {
 }
 
 // TestAppendCommandCanonical pins the canonical encoder: AppendCommand's
-// bytes must round-trip through DecodeCommand unchanged, and WriteCommand
-// (which delegates to it) must produce identical bytes — the AOF replay
+// bytes must round-trip through DecodeCommand unchanged — the AOF replay
 // path and the wire path are the same encoding by construction.
 func TestAppendCommandCanonical(t *testing.T) {
 	cmds := []Command{
@@ -227,15 +223,6 @@ func TestAppendCommandCanonical(t *testing.T) {
 		enc, err := AppendCommand(nil, c)
 		if err != nil {
 			t.Fatalf("AppendCommand(%v): %v", c.Verb, err)
-		}
-		var buf bytes.Buffer
-		bw := bufio.NewWriter(&buf)
-		if err := WriteCommand(bw, c); err != nil {
-			t.Fatalf("WriteCommand(%v): %v", c.Verb, err)
-		}
-		bw.Flush()
-		if !bytes.Equal(enc, buf.Bytes()) {
-			t.Errorf("%v: AppendCommand %q != WriteCommand %q", c.Verb, enc, buf.Bytes())
 		}
 		if c.Verb == VerbQuit {
 			continue // ReadCommand returns QUIT without consuming trailing state

@@ -30,6 +30,10 @@ type conn struct {
 	srv *Server
 	nc  net.Conn
 
+	// entries is the batch scratch, reused across loop iterations and
+	// touched only by the serving goroutine.
+	entries []batchEntry
+
 	mu      sync.Mutex
 	busy    bool // between reading a request and writing its reply
 	closing bool
@@ -113,7 +117,7 @@ func (c *conn) serve() {
 
 	br := bufio.NewReaderSize(&countingReader{r: c.nc, n: &c.srv.bytesIn}, connBufSize)
 	var codec proto.ServerCodec // chosen from the first byte, once
-	entries := make([]batchEntry, 0, 16)
+	c.entries = make([]batchEntry, 0, 16)
 	for {
 		// Idle deadline: how long the client may think between requests.
 		if d := c.srv.cfg.IdleTimeout; d > 0 {
@@ -135,15 +139,19 @@ func (c *conn) serve() {
 		if d := c.srv.cfg.ReadTimeout; d > 0 {
 			c.nc.SetReadDeadline(time.Now().Add(d))
 		}
-		entries = c.readBatch(codec, br, entries[:0])
+		c.entries = c.readBatch(codec, br, c.entries[:0])
 		if c.setBusy(true) {
 			// Shutdown won the race before we started executing; the
 			// batch was read but not begun, so dropping it is safe.
 			return
 		}
-		out, quit := c.execAndReply(codec, entries, proto.GetBuffer(0))
+		out, quit := c.execAndReply(codec, c.entries, proto.GetBuffer(0))
 		werr := c.writeReply(out)
 		proto.PutBuffer(out)
+		// The scratch outlives the batch: drop its references to request
+		// values and results, or one deep pipeline would keep them
+		// reachable for as long as the connection then sits idle.
+		clear(c.entries)
 		closing := c.setBusy(false)
 		if quit || closing || werr != nil {
 			return
@@ -166,7 +174,7 @@ func (c *conn) readBatch(codec proto.ServerCodec, br *bufio.Reader, entries []ba
 		if err != nil || cmd.Verb == proto.VerbQuit {
 			return entries
 		}
-		if c.srv.cfg.NoBatch || len(entries) >= maxBatch {
+		if len(entries) >= maxBatch {
 			return entries
 		}
 		n := br.Buffered()

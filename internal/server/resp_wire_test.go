@@ -163,8 +163,7 @@ func TestProtocolForced(t *testing.T) {
 
 // TestBatchAndByteCounters exercises the wire accounting of the batched
 // serving path: bytes_in/bytes_out must balance the socket traffic
-// exactly, and a pipelined burst must register in batches/batched_ops —
-// unless NoBatch disables draining, which must keep both at zero.
+// exactly, and a pipelined burst must register in batches/batched_ops.
 func TestBatchAndByteCounters(t *testing.T) {
 	const burstOps = 8
 	var burst strings.Builder
@@ -243,19 +242,6 @@ func TestBatchAndByteCounters(t *testing.T) {
 		}
 		if !sawBatch {
 			t.Fatal("no pipelined burst ever executed as a batch")
-		}
-	})
-
-	t.Run("nobatch", func(t *testing.T) {
-		_, addr := startServer(t, server.Config{Backend: server.BackendSkipList, Shards: 4, NoBatch: true})
-		c := dialRaw(t, addr)
-		for round := 0; round < 5; round++ {
-			sendBurst(t, c)
-		}
-		stats := readStats(t, c)
-		if stats["batches"] != "0" || stats["batched_ops"] != "0" {
-			t.Fatalf("NoBatch counters = batches %s, batched_ops %s; want 0, 0",
-				stats["batches"], stats["batched_ops"])
 		}
 	})
 }

@@ -6,11 +6,12 @@
 // own goroutine, exactly the paper's process-per-operation model with
 // goroutines standing in for processes.
 //
-// The wire protocol is the memcached-style text protocol of
-// internal/proto. The backend structure (sorted list, hash table, skip
-// list, or BST) and the §5 memory mode (GC or RC) are chosen at
-// construction, making the server a network-facing harness for comparing
-// the paper's structures under real socket-driven load (cmd/lfload).
+// Two wire protocols from internal/proto are served, the memcached-style
+// text protocol and RESP, detected per connection (Config.Protocol).
+// The backend structure (sorted list, hash table, skip list, or BST) and
+// the memory mode (gc, rc — §5 — or ebr) are chosen at construction,
+// making the server a network-facing harness for comparing the paper's
+// structures under real socket-driven load (bench/).
 package server
 
 import (
@@ -91,11 +92,6 @@ type Config struct {
 	// opens with an inline command is indistinguishable from text; use
 	// the forced setting for inline-only clients.)
 	Protocol string
-	// NoBatch disables pipelined batch draining: each loop iteration
-	// reads, executes, and answers exactly one command. For comparison
-	// runs and bisection; the default (false) drains every fully
-	// buffered command into one batched execution.
-	NoBatch bool
 
 	// PersistDir, when non-empty, enables durability: state is recovered
 	// from this directory at New (latest snapshot + append-only log

@@ -1,29 +1,26 @@
 #!/bin/sh
 # smoke.sh — end-to-end smoke test of the serving path, as run by
 # `make smoke` and CI: build valoisd and lfload, boot the server on an
-# ephemeral loopback port, drive it with >= 64 concurrent connections
-# over the text protocol, then again over RESP with pipelining (the
-# batched execution path), then SIGTERM the server and require a
-# graceful (exit 0) drain.
+# ephemeral loopback port, drive it closed-loop with >= 64 concurrent
+# connections over the text protocol, then again over RESP, then SIGTERM
+# the server and require a graceful (exit 0) drain. (Pipelined traffic —
+# the batched execution path — is the benchmark's job: bash bench/run.sh
+# validates every reply at depth 48.)
 # A second phase smoke-tests durability: boot with -aof -fsync always,
 # store a key with valoisctl, SIGKILL the server, restart it on the same
 # data directory, and require the key back over both protocols.
 #
 # Environment knobs:
 #   SMOKE_CONNS     concurrent lfload connections (default 64)
-#   SMOKE_DURATION  measured load duration       (default 3s)
+#   SMOKE_DURATION  load duration per phase      (default 3s)
 #   SMOKE_BACKEND   server backend               (default skiplist)
-#   SMOKE_MODE      memory mode: gc or rc        (default rc)
-#   SMOKE_PIPELINE  RESP-phase pipeline depth    (default 8)
-#   SMOKE_JSON      lfload JSON report path      (default: none)
+#   SMOKE_MODE      memory mode: gc, rc or ebr   (default rc)
 set -eu
 
 CONNS=${SMOKE_CONNS:-64}
 DURATION=${SMOKE_DURATION:-3s}
 BACKEND=${SMOKE_BACKEND:-skiplist}
 MODE=${SMOKE_MODE:-rc}
-PIPELINE=${SMOKE_PIPELINE:-8}
-JSON=${SMOKE_JSON:-}
 
 workdir=$(mktemp -d)
 server_pid=
@@ -68,12 +65,11 @@ server_pid=$!
 wait_addr "$workdir/valoisd.log" "$server_pid"
 
 echo "smoke: loading $addr with $CONNS connections for $DURATION (text)"
-"$workdir/lfload" -addr "$addr" -conns "$CONNS" -d "$DURATION" \
-    -mix mixed -prefill 1024 -json "$JSON"
+"$workdir/lfload" -addr "$addr" -conns "$CONNS" -d "$DURATION" -mix mixed
 
-echo "smoke: loading $addr with $CONNS connections for $DURATION (resp, pipeline=$PIPELINE)"
-"$workdir/lfload" -addr "$addr" -conns "$CONNS" -d "$DURATION" \
-    -mix mixed -protocol resp -pipeline "$PIPELINE" -json ""
+echo "smoke: loading $addr with $CONNS connections for $DURATION (resp)"
+"$workdir/lfload" -addr "$addr" -conns "$CONNS" -d "$DURATION" -mix mixed \
+    -protocol resp
 
 echo "smoke: valoisctl over RESP (set/get/ping)"
 "$workdir/valoisctl" -addr "$addr" -protocol resp set smoke-resp binary-safe
