@@ -109,22 +109,10 @@ func (w TreeWorkStats) ExtraWork() int64 {
 // the free list under mm.ModeRC and mm.ModeEBR and are ignored under
 // mm.ModeGC.
 func New[K cmp.Ordered, V any](mode mm.Mode, opts ...mm.RCOption) *Tree[K, V] {
-	extractor := func(it item[K, V]) (*mm.Node[item[K, V]], *mm.Node[item[K, V]]) {
+	manager := mm.NewManager[item[K, V]](mode, opts...)
+	mm.SetReclaimExtractor(manager, func(it item[K, V]) (*mm.Node[item[K, V]], *mm.Node[item[K, V]]) {
 		return it.Left, it.Right
-	}
-	var manager mm.Manager[item[K, V]]
-	switch mode {
-	case mm.ModeRC:
-		rc := mm.NewRC[item[K, V]](opts...)
-		rc.SetReclaimExtractor(extractor)
-		manager = rc
-	case mm.ModeEBR:
-		ebr := mm.NewEBR[item[K, V]](opts...)
-		ebr.SetReclaimExtractor(extractor)
-		manager = ebr
-	default:
-		manager = mm.NewGC[item[K, V]]()
-	}
+	})
 	t := &Tree[K, V]{manager: manager}
 	t.pinner, t.ebr = manager.(mm.Pinner)
 	t.empty = manager.Alloc()

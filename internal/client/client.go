@@ -76,8 +76,7 @@ type Client struct {
 	resp bool
 	nc   net.Conn
 	br   *bufio.Reader
-	bw   *bufio.Writer
-	enc  []byte // request encode scratch, reused across operations
+	enc  []byte // encoded request(s) of the operation in flight, reused across operations
 }
 
 // Dial connects to a valoisd server at addr.
@@ -103,7 +102,6 @@ func (c *Client) connect() error {
 	}
 	c.nc = nc
 	c.br = bufio.NewReader(nc)
-	c.bw = bufio.NewWriter(nc)
 	return nil
 }
 
@@ -120,8 +118,9 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.nc.SetDeadline(time.Now().Add(c.opts.OpTimeout))
-	c.writeCommand(proto.Command{Verb: proto.VerbQuit})
-	c.bw.Flush()
+	if c.encode(proto.Command{Verb: proto.VerbQuit}) == nil {
+		c.nc.Write(c.enc)
+	}
 	err := c.nc.Close()
 	c.nc = nil
 	return err
@@ -134,12 +133,36 @@ func permanent(err error) bool {
 	return errors.As(err, &re)
 }
 
-// do runs op under the per-operation deadline, retrying on transient
-// errors with exponential backoff and a fresh connection. Operations are
-// therefore at-least-once: SET (an upsert) and GET are safe to repeat;
-// a retried DELETE reports the outcome of its final attempt.
-func (c *Client) do(op func() error) error {
-	var err error
+// encode replaces the request scratch with the wire form of cmds in the
+// connection's protocol. It fails on a command the protocol cannot carry
+// (a key the grammar forbids), before anything has touched the wire.
+func (c *Client) encode(cmds ...proto.Command) (err error) {
+	c.enc = c.enc[:0]
+	for _, cmd := range cmds {
+		if c.resp {
+			c.enc, err = proto.AppendRESPCommand(c.enc, cmd)
+		} else {
+			c.enc, err = proto.AppendCommand(c.enc, cmd)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// do sends cmds as one write and runs read to consume their replies,
+// under the per-operation deadline, retrying on transient errors with
+// exponential backoff and a fresh connection. Operations are therefore
+// at-least-once: SET (an upsert) and GET are safe to repeat; a retried
+// DELETE reports the outcome of its final attempt. An unencodable
+// command is returned as is: it was never sent, so there is nothing to
+// retry.
+func (c *Client) do(read func() error, cmds ...proto.Command) error {
+	err := c.encode(cmds...)
+	if err != nil {
+		return err
+	}
 	for attempt := 0; attempt <= c.opts.Retries; attempt++ {
 		if attempt > 0 {
 			time.Sleep(c.opts.Backoff << (attempt - 1))
@@ -150,10 +173,10 @@ func (c *Client) do(op func() error) error {
 			}
 		}
 		c.nc.SetDeadline(time.Now().Add(c.opts.OpTimeout))
-		if err = op(); err == nil {
-			return nil
+		if _, err = c.nc.Write(c.enc); err == nil {
+			err = read()
 		}
-		if permanent(err) {
+		if err == nil || permanent(err) {
 			return err
 		}
 		c.dropConn()
@@ -164,35 +187,23 @@ func (c *Client) do(op func() error) error {
 // Get fetches the value stored under key.
 func (c *Client) Get(key string) (value []byte, found bool, err error) {
 	err = c.do(func() error {
-		if err := c.roundTripHeader(proto.Command{Verb: proto.VerbGet, Key: key}); err != nil {
-			return err
-		}
 		value, found, err = c.readGetReply()
 		return err
-	})
+	}, proto.Command{Verb: proto.VerbGet, Key: key})
 	return value, found, err
 }
 
 // Set stores value under key, replacing any existing value.
 func (c *Client) Set(key string, value []byte) error {
-	return c.do(func() error {
-		if err := c.roundTripHeader(proto.Command{Verb: proto.VerbSet, Key: key, Value: value}); err != nil {
-			return err
-		}
-		return c.readSetReply()
-	})
+	return c.do(c.readSetReply, proto.Command{Verb: proto.VerbSet, Key: key, Value: value})
 }
 
 // Delete removes key, reporting whether the server found it.
 func (c *Client) Delete(key string) (deleted bool, err error) {
 	err = c.do(func() error {
-		deleted = false
-		if err := c.roundTripHeader(proto.Command{Verb: proto.VerbDelete, Key: key}); err != nil {
-			return err
-		}
 		deleted, err = c.readDeleteReply()
 		return err
-	})
+	}, proto.Command{Verb: proto.VerbDelete, Key: key})
 	return deleted, err
 }
 
@@ -200,25 +211,19 @@ func (c *Client) Delete(key string) (deleted bool, err error) {
 // order. The server rejects it on unordered (hash) backends.
 func (c *Client) Range(start string, count int) (entries []Entry, err error) {
 	err = c.do(func() error {
-		if err := c.roundTripHeader(proto.Command{Verb: proto.VerbRange, Key: start, Count: count}); err != nil {
-			return err
-		}
 		if c.resp {
 			entries, err = c.readRESPEntries()
 			return err
 		}
 		entries, err = c.readValuesUntilEnd(count)
 		return err
-	})
+	}, proto.Command{Verb: proto.VerbRange, Key: start, Count: count})
 	return entries, err
 }
 
 // Stats fetches the server's STATS map (see server.Server.Stats).
 func (c *Client) Stats() (stats map[string]string, err error) {
 	err = c.do(func() error {
-		if err := c.roundTripHeader(proto.Command{Verb: proto.VerbStats}); err != nil {
-			return err
-		}
 		if c.resp {
 			entries, err := c.readRESPEntries()
 			if err != nil {
@@ -245,7 +250,7 @@ func (c *Client) Stats() (stats map[string]string, err error) {
 				return fmt.Errorf("client: unexpected STATS reply line %v", fields)
 			}
 		}
-	})
+	}, proto.Command{Verb: proto.VerbStats})
 	return stats, err
 }
 
@@ -255,9 +260,6 @@ func (c *Client) Ping() error {
 		return errors.New("client: PING requires the resp protocol")
 	}
 	return c.do(func() error {
-		if err := c.roundTripHeader(proto.Command{Verb: proto.VerbPing}); err != nil {
-			return err
-		}
 		kind, rest, err := proto.ReadRESPLine(c.br)
 		if err != nil {
 			return err
@@ -266,31 +268,7 @@ func (c *Client) Ping() error {
 			return fmt.Errorf("client: unexpected PING reply %q", rest)
 		}
 		return nil
-	})
-}
-
-// writeCommand encodes cmd in the connection's protocol into the reused
-// scratch buffer and writes (without flushing) it.
-func (c *Client) writeCommand(cmd proto.Command) error {
-	var err error
-	if c.resp {
-		c.enc, err = proto.AppendRESPCommand(c.enc[:0], cmd)
-	} else {
-		c.enc, err = proto.AppendCommand(c.enc[:0], cmd)
-	}
-	if err != nil {
-		return err
-	}
-	_, err = c.bw.Write(c.enc)
-	return err
-}
-
-// roundTripHeader writes one command and flushes it.
-func (c *Client) roundTripHeader(cmd proto.Command) error {
-	if err := c.writeCommand(cmd); err != nil {
-		return err
-	}
-	return c.bw.Flush()
+	}, proto.Command{Verb: proto.VerbPing})
 }
 
 // readGetReply consumes one GET reply in the connection's protocol.
@@ -511,14 +489,6 @@ func (c *Client) DoInto(b *Batch, dst []Result) (results []Result, err error) {
 		return dst, nil
 	}
 	err = c.do(func() error {
-		for _, cmd := range b.cmds {
-			if err := c.writeCommand(cmd); err != nil {
-				return err
-			}
-		}
-		if err := c.bw.Flush(); err != nil {
-			return err
-		}
 		results = dst[:0]
 		for _, cmd := range b.cmds {
 			r := Result{Key: cmd.Key}
@@ -542,7 +512,7 @@ func (c *Client) DoInto(b *Batch, dst []Result) (results []Result, err error) {
 			results = append(results, r)
 		}
 		return nil
-	})
+	}, b.cmds...)
 	if err != nil {
 		return dst[:0], err
 	}

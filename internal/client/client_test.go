@@ -90,6 +90,46 @@ func TestBatchPipeline(t *testing.T) {
 	}
 }
 
+// TestForbiddenKeyNeverSent: a key the wire grammar forbids is refused
+// by the encoder before anything is written, on both protocols, alone or
+// inside a batch. Sent as it is, "k " would read key k over text, and a
+// key carrying CRLF would smuggle a second command and desynchronise the
+// reply stream — so after each refusal the connection must still be in
+// step, and neither the aliased nor the smuggled key may have been
+// touched.
+func TestForbiddenKeyNeverSent(t *testing.T) {
+	addr := startServer(t)
+	for _, protocol := range []string{"text", "resp"} {
+		c, err := client.Dial(addr, client.Options{Protocol: protocol})
+		if err != nil {
+			t.Fatalf("Dial: %v", err)
+		}
+		for _, k := range []string{"k", "a", "b"} {
+			if err := c.Set(k, []byte("kept")); err != nil {
+				t.Fatalf("%s Set(%q): %v", protocol, k, err)
+			}
+		}
+		if v, found, err := c.Get("k "); err == nil {
+			t.Errorf("%s Get(%q) = %q, %v: sent a key the grammar forbids", protocol, "k ", v, found)
+		}
+		if deleted, err := c.Delete("a\r\nDELETE b"); err == nil {
+			t.Errorf("%s Delete with CRLF in the key = %v: sent a key the grammar forbids", protocol, deleted)
+		}
+		var b client.Batch
+		b.Get("k")
+		b.Delete("a\r\nDELETE b")
+		if res, err := c.Do(&b); err == nil {
+			t.Errorf("%s Do with a forbidden key = %v: sent", protocol, res)
+		}
+		for _, k := range []string{"k", "a", "b"} {
+			if v, found, err := c.Get(k); err != nil || !found || string(v) != "kept" {
+				t.Errorf("%s Get(%q) after the refusals = %q, %v, %v; want kept", protocol, k, v, found, err)
+			}
+		}
+		c.Close()
+	}
+}
+
 // TestRetryReconnect drops the client's first connection before serving
 // any request; the retry path must reconnect and complete the operation.
 func TestRetryReconnect(t *testing.T) {

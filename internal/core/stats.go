@@ -46,6 +46,18 @@ func (w WorkStats) ExtraWork() int64 {
 		w.DeleteCASRetries + w.InsertRetries + w.DeleteRetries
 }
 
+// Add accumulates o into w, field by field; the dictionaries sum their
+// lists' snapshots with it.
+func (w *WorkStats) Add(o WorkStats) {
+	w.AuxSkips += o.AuxSkips
+	w.AuxRemovals += o.AuxRemovals
+	w.BacklinkSteps += o.BacklinkSteps
+	w.ChainSteps += o.ChainSteps
+	w.DeleteCASRetries += o.DeleteCASRetries
+	w.InsertRetries += o.InsertRetries
+	w.DeleteRetries += o.DeleteRetries
+}
+
 // Snapshot returns the current counter values; zero values if counting is
 // disabled.
 func (c *Counters) Snapshot() WorkStats {

@@ -118,14 +118,7 @@ func (h *Hash[K, V]) DisableBackoff() {
 func (h *Hash[K, V]) WorkStats() core.WorkStats {
 	var total core.WorkStats
 	for _, b := range h.buckets {
-		s := b.List().Stats().Snapshot()
-		total.AuxSkips += s.AuxSkips
-		total.AuxRemovals += s.AuxRemovals
-		total.BacklinkSteps += s.BacklinkSteps
-		total.ChainSteps += s.ChainSteps
-		total.DeleteCASRetries += s.DeleteCASRetries
-		total.InsertRetries += s.InsertRetries
-		total.DeleteRetries += s.DeleteRetries
+		total.Add(b.List().Stats().Snapshot())
 	}
 	return total
 }

@@ -3,7 +3,6 @@ package proto
 import (
 	"bufio"
 	"strconv"
-	"sync"
 )
 
 // Protocol names accepted by valoisd -protocol and client Options.
@@ -18,20 +17,26 @@ const (
 // buffer. Implementations (TextCodec, RESPCodec) are stateful scratch
 // holders and are owned by exactly one connection goroutine.
 //
+// Each codec has one scanner (its unexported scan, see framer) that
+// decides from bytes alone where the first request of a buffer ends;
+// ReadCommand and Complete are both that scanner, so what Complete calls
+// whole is by construction what ReadCommand consumes without blocking.
+//
 // The append-style reply surface is the zero-allocation contract of the
-// serving hot path: the connection loop reuses one pooled reply buffer
-// per batch and issues a single write for all of it, so encoding a reply
-// costs no allocation and no syscall of its own.
+// serving hot path: the connection loop reuses one connection-owned
+// reply buffer per batch and issues a single write for all of it, so
+// encoding a reply costs no allocation and no syscall of its own.
 type ServerCodec interface {
 	// Name reports the protocol name (ProtocolText or ProtocolRESP).
 	Name() string
-	// ReadCommand reads and parses one request. Errors are io errors,
-	// ErrUnknownVerb, or *ClientError (Fatal ⇒ framing lost, close after
-	// replying).
+	// ReadCommand blocks until one request is framed, then parses and
+	// consumes it. Errors are io errors, ErrUnknownVerb, or *ClientError
+	// (Fatal ⇒ framing lost, close after replying); after a non-fatal
+	// one the reader stands at the next request.
 	ReadCommand(r *bufio.Reader) (Command, error)
 	// Complete reports whether buf (the bytes already buffered in the
-	// reader) contains at least one whole request, so ReadCommand can be
-	// called without risking a blocking socket read.
+	// reader) starts with a whole request or a framing error, so
+	// ReadCommand can be called without risking a blocking socket read.
 	Complete(buf []byte) bool
 
 	// Reply encoders, appending wire bytes to dst.
@@ -143,49 +148,4 @@ func (tc *TextCodec) AppendServerError(dst []byte, msg string) []byte {
 
 func (tc *TextCodec) AppendUnknownVerb(dst []byte) []byte {
 	return append(dst, "ERROR\r\n"...)
-}
-
-// Buffer pool, sized-class. Reply and encode buffers cycle through here
-// so steady-state serving allocates nothing per batch: a buffer that
-// grew to fit a burst is returned to the class its capacity now fits,
-// and outliers beyond the largest class are dropped for the GC rather
-// than pinned forever.
-var bufPools = [...]struct {
-	size int
-	pool sync.Pool
-}{
-	{size: 4 << 10},
-	{size: 64 << 10},
-	{size: 1 << 20},
-}
-
-// GetBuffer returns an empty buffer with capacity at least hint (zero
-// picks the smallest class). Release with PutBuffer.
-func GetBuffer(hint int) []byte {
-	for i := range bufPools {
-		p := &bufPools[i]
-		if hint <= p.size {
-			if b, ok := p.pool.Get().(*[]byte); ok {
-				return (*b)[:0]
-			}
-			return make([]byte, 0, p.size)
-		}
-	}
-	return make([]byte, 0, hint)
-}
-
-// PutBuffer recycles a buffer obtained from GetBuffer (or anywhere — the
-// class is chosen by capacity). Oversized buffers are dropped.
-func PutBuffer(b []byte) {
-	c := cap(b)
-	for i := len(bufPools) - 1; i >= 0; i-- {
-		p := &bufPools[i]
-		if c >= p.size {
-			if c <= bufPools[len(bufPools)-1].size {
-				b = b[:0]
-				p.pool.Put(&b)
-			}
-			return
-		}
-	}
 }

@@ -106,6 +106,116 @@ func clientErr(fatal bool, format string, args ...any) error {
 	return &ClientError{Msg: fmt.Sprintf(format, args...), Fatal: fatal}
 }
 
+// scanLine finds the first line of buf: at most MaxLineLen bytes plus a
+// CRLF (or bare LF) terminator. It returns the line without its
+// terminator and the offset just past it; end == 0 means the line is not
+// all there yet. An over-long line is a fatal client error: the reader
+// cannot tell where the next request starts.
+func scanLine(buf []byte) (line []byte, end int, err error) {
+	i := bytes.IndexByte(buf[:min(len(buf), MaxLineLen+2)], '\n')
+	if i < 0 {
+		if len(buf) >= MaxLineLen+2 {
+			return nil, 0, clientErr(true, "request line exceeds %d bytes", MaxLineLen)
+		}
+		return nil, 0, nil
+	}
+	line = buf[:i]
+	if i > 0 && line[i-1] == '\r' {
+		line = line[:i-1]
+	}
+	return line, i + 1, nil
+}
+
+// scanBlock frames a length-prefixed data block (a SET value, a RESP
+// bulk) of size bytes at buf[at:] with its CRLF (or tolerated bare LF)
+// terminator: n is the offset just past the terminator, or 0 with need a
+// lower bound on it when buf ends first. A missing terminator is fatal —
+// the declared length was wrong, so the next request's start is unknown.
+func scanBlock(buf []byte, at, size int) (n, need int, err error) {
+	end := at + size
+	switch {
+	case len(buf) <= end:
+		return 0, end + 1, nil
+	case buf[end] == '\n':
+		return end + 1, 0, nil
+	case buf[end] != '\r':
+	case len(buf) == end+1:
+		return 0, end + 2, nil
+	case buf[end+1] == '\n':
+		return end + 2, 0, nil
+	}
+	return 0, 0, clientErr(true, "data block not terminated by CRLF")
+}
+
+// framer is what a codec supplies to readCommand: scan frames the first
+// request of buf from its bytes alone — n > 0 is a whole request of n
+// bytes, n == 0 means more bytes are needed and the request is at least
+// need long, err means framing is lost — recording the request's tokens
+// in the codec's scratch; build turns the tokens of the last framed
+// request into a Command. Where a request ends is decided in scan and
+// nowhere else, before its content is judged, so a request build rejects
+// has already been stepped over and the connection stays in sync.
+type framer interface {
+	scan(buf []byte) (n, need int, err error)
+	build() (Command, error)
+}
+
+// readCommand blocks until f.scan frames one request from r, builds it
+// and consumes it. The request is framed in place in the reader's buffer
+// whenever it fits there; a larger one (a big SET) is assembled in
+// storage of its own, which scan bounds by refusing over-limit lengths.
+func readCommand(r *bufio.Reader, f framer) (Command, error) {
+	need := 1
+	for need <= r.Size() {
+		if _, err := r.Peek(need); err != nil {
+			return Command{}, readErr(err, r.Buffered() > 0)
+		}
+		buf, _ := r.Peek(r.Buffered())
+		n, more, err := f.scan(buf)
+		if err != nil {
+			return Command{}, err
+		}
+		if n > 0 {
+			cmd, err := f.build()
+			r.Discard(n)
+			return cmd, err
+		}
+		need = more
+	}
+	// Everything buffered belongs to this request (scan found no end in
+	// it) and need never overshoots the request's end, so own fills up
+	// to exactly one request and the reader is left at the next.
+	var own []byte
+	for {
+		have := len(own)
+		own = append(own, make([]byte, need-have)...)
+		if _, err := io.ReadFull(r, own[have:]); err != nil {
+			return Command{}, readErr(err, true)
+		}
+		n, more, err := f.scan(own)
+		if err != nil {
+			return Command{}, err
+		}
+		if n > 0 {
+			return f.build()
+		}
+		need = more
+	}
+}
+
+// readErr classifies a failed read: end of stream before a request's
+// first byte is a clean close, inside a request it is a fatal client
+// error, and anything else (a deadline, a reset) is the transport's.
+func readErr(err error, started bool) error {
+	if err != io.EOF && err != io.ErrUnexpectedEOF {
+		return err
+	}
+	if !started {
+		return io.EOF
+	}
+	return clientErr(true, "truncated request")
+}
+
 // readLine reads one CRLF- (or bare-LF-) terminated line of at most
 // MaxLineLen bytes, excluding the terminator. Over-long lines are a fatal
 // client error: the reader cannot tell where the next request starts.
@@ -185,16 +295,30 @@ func parseDecimal(b []byte) (int64, bool) {
 
 // validKey reports whether k is a legal key token: 1..MaxKeyLen bytes,
 // none of which are spaces or control characters.
-func validKey(k []byte) bool {
+func validKey[T []byte | string](k T) bool {
 	if len(k) == 0 || len(k) > MaxKeyLen {
 		return false
 	}
-	for _, b := range k {
-		if b <= ' ' || b == 0x7f {
+	for i := 0; i < len(k); i++ {
+		if b := k[i]; b <= ' ' || b == 0x7f {
 			return false
 		}
 	}
 	return true
+}
+
+// checkKey refuses a command whose encoding would carry a key the
+// grammar forbids: on the text wire such a key tokenizes apart or
+// smuggles a second command past a CRLF, and either wire's server
+// rejects it anyway.
+func checkKey(c Command) error {
+	switch c.Verb {
+	case VerbGet, VerbSet, VerbDelete, VerbRange:
+		if !validKey(c.Key) {
+			return fmt.Errorf("proto: invalid key %q", c.Key)
+		}
+	}
+	return nil
 }
 
 // ReadCommand reads and parses one request. Errors are either io errors
@@ -205,11 +329,12 @@ func ReadCommand(r *bufio.Reader) (Command, error) {
 }
 
 // TextCodec is the memcached-style text protocol as a ServerCodec. The
-// zero value is ready to use; it carries tokenizer scratch so parsing a
-// command performs no slice allocation beyond the key string and SET
-// payload.
+// zero value is ready to use; it carries the scanner's token scratch so
+// parsing a command performs no slice allocation beyond the key string
+// and SET payload.
 type TextCodec struct {
-	fields [][]byte
+	fields [][]byte // tokens of the framed request's line
+	value  []byte   // its data block: non-nil (even when empty) exactly for a well-formed SET
 }
 
 // Name reports the codec's protocol name.
@@ -217,12 +342,64 @@ func (tc *TextCodec) Name() string { return ProtocolText }
 
 // ReadCommand reads and parses one request (see package ReadCommand).
 func (tc *TextCodec) ReadCommand(r *bufio.Reader) (Command, error) {
-	line, err := readLine(r)
-	if err != nil {
-		return Command{}, err
+	return readCommand(r, tc)
+}
+
+// Complete reports whether buf — the reader's currently-buffered bytes —
+// holds at least one whole request or a framing error, i.e. whether
+// ReadCommand reaches a verdict without another socket read. The serving
+// loop uses it to drain a pipelined burst without blocking mid-batch.
+func (tc *TextCodec) Complete(buf []byte) bool {
+	n, _, err := tc.scan(buf)
+	return n > 0 || err != nil
+}
+
+// scan frames the first request of buf (see framer). Every request is
+// its line, except a SET whose line is well-formed — two arguments, a
+// legal key, a plain length — which extends over the data block the
+// length declares; any other SET line draws its CLIENT_ERROR from build
+// with the next request starting on the next line.
+func (tc *TextCodec) scan(buf []byte) (n, need int, err error) {
+	line, end, err := scanLine(buf)
+	if end == 0 {
+		return 0, len(buf) + 1, err
 	}
 	tc.fields = asciiFieldsInto(tc.fields[:0], line)
-	fields := tc.fields
+	tc.value = nil
+	f := tc.fields
+	if len(f) != 3 || (string(f[0]) != "SET" && string(f[0]) != "set") || !validKey(f[1]) {
+		return end, 0, nil
+	}
+	size, ok := parseDecimal(f[2])
+	if !ok || size < 0 {
+		return end, 0, nil
+	}
+	if size > MaxValueLen {
+		// The data block is on the wire behind a length that will not be
+		// buffered, so the next request's start is out of reach. Fatal.
+		return 0, 0, clientErr(true, "value exceeds %d bytes", MaxValueLen)
+	}
+	n, need, err = scanBlock(buf, end, int(size))
+	if n > 0 {
+		tc.value = buf[end : end+int(size)]
+	}
+	return n, need, err
+}
+
+// build turns the tokens scan recorded into a Command and drops them:
+// they alias the scanned buffer, which the codec must not keep reachable
+// once the request is consumed.
+func (tc *TextCodec) build() (Command, error) {
+	cmd, err := textCommand(tc.fields, tc.value)
+	clear(tc.fields)
+	tc.value = nil
+	return cmd, err
+}
+
+// textCommand judges one request's tokens — its line's fields, and the
+// data block scan framed if the line is a well-formed SET — copying out
+// what the Command keeps.
+func textCommand(fields [][]byte, value []byte) (Command, error) {
 	if len(fields) == 0 {
 		return Command{}, clientErr(false, "empty request")
 	}
@@ -240,41 +417,16 @@ func (tc *TextCodec) ReadCommand(r *bufio.Reader) (Command, error) {
 		return Command{Verb: VerbGet, Key: string(args[0])}, nil
 
 	case "SET", "set":
-		if len(args) != 2 {
+		switch {
+		case value != nil: // scan framed a data block, so the line is well-formed
+			return Command{Verb: VerbSet, Key: string(args[0]), Value: append([]byte{}, value...)}, nil
+		case len(args) != 2:
 			return Command{}, clientErr(false, "SET wants <key> <bytes>, got %d arguments", len(args))
-		}
-		if !validKey(args[0]) {
+		case !validKey(args[0]):
 			return Command{}, clientErr(false, "bad key")
-		}
-		// Copy the key out NOW: args[0] aliases the bufio buffer
-		// (readLine uses ReadSlice), and reading the data block below may
-		// refill that buffer, overwriting the key bytes with later stream
-		// bytes — the key would pass validKey yet store as garbage.
-		key := string(args[0])
-		n64, ok := parseDecimal(args[1])
-		if !ok || n64 < 0 {
+		default:
 			return Command{}, clientErr(false, "bad value length %q", args[1])
 		}
-		n := int(n64)
-		if n > MaxValueLen {
-			// The data block is on the wire; without reading it framing is
-			// lost, and reading it would buffer an over-limit value. Fatal.
-			return Command{}, clientErr(true, "value exceeds %d bytes", MaxValueLen)
-		}
-		val := make([]byte, n)
-		if _, err := io.ReadFull(r, val); err != nil {
-			return Command{}, clientErr(true, "short value data block")
-		}
-		// The data block carries its own CRLF terminator.
-		switch crlf, err := r.Peek(2); {
-		case err == nil && crlf[0] == '\r' && crlf[1] == '\n':
-			r.Discard(2)
-		case len(crlf) >= 1 && crlf[0] == '\n': // tolerate bare LF
-			r.Discard(1)
-		default:
-			return Command{}, clientErr(true, "value data block not terminated by CRLF")
-		}
-		return Command{Verb: VerbSet, Key: key, Value: val}, nil
 
 	case "DELETE", "delete":
 		if len(args) != 1 {
@@ -312,36 +464,6 @@ func (tc *TextCodec) ReadCommand(r *bufio.Reader) (Command, error) {
 	}
 }
 
-// Complete reports whether buf — the reader's currently-buffered bytes —
-// holds at least one whole command, i.e. whether ReadCommand is
-// guaranteed to reach a verdict (a command or an error) without another
-// socket read. The serving loop uses it to drain a pipelined burst
-// without ever blocking mid-batch. It is conservative the cheap way:
-// anything that makes ReadCommand fail before touching a data block
-// (unknown verb, bad length, over-limit value) counts as complete,
-// because the error path consumes only the already-buffered line.
-func (tc *TextCodec) Complete(buf []byte) bool {
-	i := bytes.IndexByte(buf, '\n')
-	if i < 0 {
-		return false
-	}
-	line := buf[:i]
-	if len(line) > 0 && line[len(line)-1] == '\r' {
-		line = line[:len(line)-1]
-	}
-	tc.fields = asciiFieldsInto(tc.fields[:0], line)
-	f := tc.fields
-	// Only a well-formed SET reads past its command line; everything
-	// else resolves on the line alone. The length check must mirror
-	// ReadCommand exactly, or a "complete" SET could still block.
-	if len(f) == 3 && (string(f[0]) == "SET" || string(f[0]) == "set") {
-		if n, ok := parseDecimal(f[2]); ok && n >= 0 && n <= MaxValueLen {
-			return int64(len(buf)) >= int64(i+1)+n+2
-		}
-	}
-	return true
-}
-
 // AppendCommand appends the canonical wire encoding of c to dst and
 // returns the extended slice. This is THE single-command encoder: the
 // client sends its output, and the durability layer
@@ -349,6 +471,9 @@ func (tc *TextCodec) Complete(buf []byte) bool {
 // a log record is byte-for-byte what the wire would carry, and replay is
 // the same ReadCommand path the server already trusts.
 func AppendCommand(dst []byte, c Command) ([]byte, error) {
+	if err := checkKey(c); err != nil {
+		return dst, err
+	}
 	switch c.Verb {
 	case VerbGet, VerbDelete:
 		dst = append(dst, c.Verb.String()...)
@@ -383,15 +508,17 @@ func AppendCommand(dst []byte, c Command) ([]byte, error) {
 // AppendCommand), requiring that it consumes the whole buffer. It is the
 // decode half used by AOF/snapshot replay.
 func DecodeCommand(payload []byte) (Command, error) {
-	r := bufio.NewReader(bytes.NewReader(payload))
-	c, err := ReadCommand(r)
-	if err != nil {
+	var tc TextCodec
+	n, _, err := tc.scan(payload)
+	switch {
+	case err != nil:
 		return Command{}, err
-	}
-	if _, err := r.Peek(1); err != io.EOF {
+	case n == 0:
+		return Command{}, errors.New("proto: truncated command")
+	case n != len(payload):
 		return Command{}, errors.New("proto: trailing bytes after command")
 	}
-	return c, nil
+	return tc.build()
 }
 
 // Reply lines.

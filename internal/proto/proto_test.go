@@ -83,28 +83,31 @@ func TestReadCommandWellFormed(t *testing.T) {
 	}
 }
 
+// malformedText is TestReadCommandMalformed's table; TestCompleteScanners
+// checks the pipeline scanner against the same rows.
+var malformedText = []struct {
+	in    string
+	fatal bool
+}{
+	{"\r\n", false},        // empty request
+	{"GET\r\n", false},     // missing key
+	{"GET a b\r\n", false}, // extra argument
+	{"GET " + strings.Repeat("k", MaxKeyLen+1) + "\r\n", false}, // oversized key
+	{"GET ba\x01d\r\n", false},                                  // control byte in key
+	{"SET k notanumber\r\n", false},                             // bad length
+	{"SET k -1\r\n", false},                                     // negative length
+	{"SET k 5\r\nhelloXY", true},                                // data block missing CRLF
+	{"SET k 5\r\nhel", true},                                    // truncated data block
+	{"SET k 9999999999\r\n", true},                              // over-limit value
+	{"RANGE a 0\r\n", false},                                    // count below 1
+	{"RANGE a\r\n", false},                                      // missing count
+	{"STATS now\r\n", false},                                    // STATS takes no args
+	{strings.Repeat("x", MaxLineLen+10) + "\r\n", true},         // over-long line
+	{"GET truncated", true},                                     // no terminator before EOF
+}
+
 func TestReadCommandMalformed(t *testing.T) {
-	tests := []struct {
-		in    string
-		fatal bool
-	}{
-		{"\r\n", false},        // empty request
-		{"GET\r\n", false},     // missing key
-		{"GET a b\r\n", false}, // extra argument
-		{"GET " + strings.Repeat("k", MaxKeyLen+1) + "\r\n", false}, // oversized key
-		{"GET ba\x01d\r\n", false},                                  // control byte in key
-		{"SET k notanumber\r\n", false},                             // bad length
-		{"SET k -1\r\n", false},                                     // negative length
-		{"SET k 5\r\nhelloXY", true},                                // data block missing CRLF
-		{"SET k 5\r\nhel", true},                                    // truncated data block
-		{"SET k 9999999999\r\n", true},                              // over-limit value
-		{"RANGE a 0\r\n", false},                                    // count below 1
-		{"RANGE a\r\n", false},                                      // missing count
-		{"STATS now\r\n", false},                                    // STATS takes no args
-		{strings.Repeat("x", MaxLineLen+10) + "\r\n", true},         // over-long line
-		{"GET truncated", true},                                     // no terminator before EOF
-	}
-	for _, tt := range tests {
+	for _, tt := range malformedText {
 		_, err := ReadCommand(reader(tt.in))
 		var ce *ClientError
 		if !errors.As(err, &ce) {

@@ -37,15 +37,18 @@ import (
 // is fatal rather than consumed.
 const maxRESPArgs = 16
 
+// maxRESPFrame bounds a whole request array: the largest legal one (a
+// SET of a MaxKeyLen key and a MaxValueLen value) plus its headers and
+// terminators. A request is framed whole before it is judged, so this is
+// what keeps a hostile array of maxRESPArgs maximal bulks from being
+// buffered; past it the array is fatal at the header that crosses it.
+const maxRESPFrame = MaxValueLen + MaxKeyLen + 64
+
 // RESPCodec is the RESP2 protocol as a ServerCodec. The zero value is
-// ready; it carries parsing scratch (key bytes, small args, inline
-// tokenizer fields) so request parsing allocates only the key string and
-// SET payload, mirroring TextCodec.
+// ready; it carries the scanner's token scratch so request parsing
+// allocates only the key string and SET payload, mirroring TextCodec.
 type RESPCodec struct {
-	fields [][]byte        // inline-command tokenizer scratch
-	keybuf [MaxKeyLen]byte // key argument bytes before interning
-	numbuf [24]byte        // RANGE count argument
-	vrbbuf [16]byte        // verb argument
+	fields [][]byte // the framed request's tokens: array bulks, or inline words
 }
 
 // Name reports the codec's protocol name.
@@ -96,42 +99,6 @@ func verbArity(v Verb) int {
 	}
 }
 
-// readBulkHeader reads a "$<n>\r\n" bulk-string header. Any malformation
-// here is fatal: the element boundary is lost and the stream cannot be
-// re-synchronized.
-func readBulkHeader(r *bufio.Reader) (int, error) {
-	hdr, err := readLine(r)
-	if err != nil {
-		return 0, err
-	}
-	if len(hdr) < 2 || hdr[0] != '$' {
-		return 0, clientErr(true, "expected bulk string header, got %q", hdr)
-	}
-	n, ok := parseDecimal(hdr[1:])
-	if !ok || n < 0 || n > MaxValueLen {
-		return 0, clientErr(true, "bad bulk length %q", hdr[1:])
-	}
-	return int(n), nil
-}
-
-// readBulkBody fills dst (already sized to the declared length) and
-// consumes the trailing CRLF. A missing terminator is fatal.
-func readBulkBody(r *bufio.Reader, dst []byte) error {
-	if _, err := io.ReadFull(r, dst); err != nil {
-		return clientErr(true, "short bulk string body")
-	}
-	return discardCRLF(r)
-}
-
-// discardBulkBody consumes a bulk body without keeping it, preserving
-// framing while an error reply is being prepared.
-func discardBulkBody(r *bufio.Reader, n int) error {
-	if _, err := r.Discard(n); err != nil {
-		return clientErr(true, "short bulk string body")
-	}
-	return discardCRLF(r)
-}
-
 // discardCRLF consumes a bulk terminator, tolerating a bare LF the same
 // way the text protocol's data blocks do.
 func discardCRLF(r *bufio.Reader) error {
@@ -146,161 +113,76 @@ func discardCRLF(r *bufio.Reader) error {
 	return nil
 }
 
-// drainBulks consumes k complete bulk strings. It is the framing
-// preserver for recoverable errors mid-array (bad key, wrong arity): the
-// request's remaining elements are consumed so the next ReadCommand
-// starts at a request boundary. A framing error while draining wins over
-// the softer error the caller was about to return.
-func drainBulks(r *bufio.Reader, k int) error {
-	for ; k > 0; k-- {
-		n, err := readBulkHeader(r)
-		if err != nil {
-			return err
-		}
-		if err := discardBulkBody(r, n); err != nil {
-			return err
-		}
-	}
-	return nil
+// ReadCommand reads and parses one RESP request (array or inline).
+// Errors are io errors, ErrUnknownVerb, or *ClientError; unlike the text
+// protocol most malformations are recoverable, because bulk strings are
+// length-prefixed and the whole array is framed before its content is
+// judged — only a broken array/bulk header, a missing terminator or an
+// array past maxRESPFrame loses framing and turns fatal.
+func (rc *RESPCodec) ReadCommand(r *bufio.Reader) (Command, error) {
+	return readCommand(r, rc)
 }
 
-// readKeyArg reads one bulk string as a key, enforcing the key grammar.
-// The bulk is always fully consumed, valid or not.
-func (rc *RESPCodec) readKeyArg(r *bufio.Reader) (string, error) {
-	n, err := readBulkHeader(r)
-	if err != nil {
-		return "", err
-	}
-	if n < 1 || n > MaxKeyLen {
-		if err := discardBulkBody(r, n); err != nil {
-			return "", err
-		}
-		return "", clientErr(false, "bad key")
-	}
-	b := rc.keybuf[:n]
-	if err := readBulkBody(r, b); err != nil {
-		return "", err
-	}
-	if !validKey(b) {
-		return "", clientErr(false, "bad key")
-	}
-	return string(b), nil
+// Complete reports whether buf holds one whole RESP request or a framing
+// error (see TextCodec.Complete for the contract).
+func (rc *RESPCodec) Complete(buf []byte) bool {
+	n, _, err := rc.scan(buf)
+	return n > 0 || err != nil
 }
 
-// readArrayCommand parses the elements of a "*<n>" request after its
-// header line.
-func (rc *RESPCodec) readArrayCommand(r *bufio.Reader, n int) (Command, error) {
-	vn, err := readBulkHeader(r)
-	if err != nil {
-		return Command{}, err
+// scan frames the first request of buf (see framer): an inline request
+// is its line, an array is its header line and the declared bulks. The
+// tokens are the line's words or the bulks' bodies — build reads both
+// forms alike.
+func (rc *RESPCodec) scan(buf []byte) (n, need int, err error) {
+	line, pos, err := scanLine(buf)
+	if pos == 0 {
+		return 0, len(buf) + 1, err
 	}
-	if vn > len(rc.vrbbuf) {
-		if err := discardBulkBody(r, vn); err != nil {
-			return Command{}, err
-		}
-		if err := drainBulks(r, n-1); err != nil {
-			return Command{}, err
-		}
-		return Command{}, ErrUnknownVerb
+	if len(line) == 0 || line[0] != '*' {
+		rc.fields = asciiFieldsInto(rc.fields[:0], line)
+		return pos, 0, nil
 	}
-	vb := rc.vrbbuf[:vn]
-	if err := readBulkBody(r, vb); err != nil {
-		return Command{}, err
+	count, ok := parseDecimal(line[1:])
+	if !ok || count < 1 || count > maxRESPArgs {
+		return 0, 0, clientErr(true, "bad array length %q", line[1:])
 	}
-	verb, known := respVerb(vb)
-	if !known {
-		if err := drainBulks(r, n-1); err != nil {
-			return Command{}, err
+	rc.fields = rc.fields[:0]
+	for ; count > 0; count-- {
+		hdr, hlen, err := scanLine(buf[pos:])
+		if hlen == 0 {
+			return 0, len(buf) + 1, err
 		}
-		return Command{}, ErrUnknownVerb
+		if len(hdr) < 2 || hdr[0] != '$' {
+			return 0, 0, clientErr(true, "expected bulk string header, got %q", hdr)
+		}
+		size, ok := parseDecimal(hdr[1:])
+		if !ok || size < 0 || size > MaxValueLen {
+			return 0, 0, clientErr(true, "bad bulk length %q", hdr[1:])
+		}
+		body := pos + hlen
+		if body+int(size) > maxRESPFrame {
+			return 0, 0, clientErr(true, "request exceeds %d bytes", maxRESPFrame)
+		}
+		if pos, need, err = scanBlock(buf, body, int(size)); pos == 0 {
+			return 0, need, err
+		}
+		rc.fields = append(rc.fields, buf[body:body+int(size)])
 	}
-	if n != verbArity(verb) {
-		if err := drainBulks(r, n-1); err != nil {
-			return Command{}, err
-		}
-		return Command{}, clientErr(false, "wrong number of arguments for %s", verb)
-	}
-	switch verb {
-	case VerbGet, VerbDelete:
-		key, err := rc.readKeyArg(r)
-		if err != nil {
-			return Command{}, err
-		}
-		return Command{Verb: verb, Key: key}, nil
-
-	case VerbSet:
-		key, kerr := rc.readKeyArg(r)
-		if kerr != nil {
-			if isFatalOrIO(kerr) {
-				return Command{}, kerr
-			}
-			if err := drainBulks(r, 1); err != nil { // the unread value
-				return Command{}, err
-			}
-			return Command{}, kerr
-		}
-		vn, err := readBulkHeader(r)
-		if err != nil {
-			return Command{}, err
-		}
-		val := make([]byte, vn)
-		if err := readBulkBody(r, val); err != nil {
-			return Command{}, err
-		}
-		return Command{Verb: VerbSet, Key: key, Value: val}, nil
-
-	case VerbRange:
-		key, kerr := rc.readKeyArg(r)
-		if kerr != nil {
-			if isFatalOrIO(kerr) {
-				return Command{}, kerr
-			}
-			if err := drainBulks(r, 1); err != nil { // the unread count
-				return Command{}, err
-			}
-			return Command{}, kerr
-		}
-		cn, err := readBulkHeader(r)
-		if err != nil {
-			return Command{}, err
-		}
-		if cn > len(rc.numbuf) {
-			if err := discardBulkBody(r, cn); err != nil {
-				return Command{}, err
-			}
-			return Command{}, clientErr(false, "bad count")
-		}
-		cb := rc.numbuf[:cn]
-		if err := readBulkBody(r, cb); err != nil {
-			return Command{}, err
-		}
-		count, ok := parseDecimal(cb)
-		if !ok || count < 1 || count > MaxRange {
-			return Command{}, clientErr(false, "bad count %q (want 1..%d)", cb, MaxRange)
-		}
-		return Command{Verb: VerbRange, Key: key, Count: int(count)}, nil
-
-	default: // STATS, QUIT, PING: no arguments
-		return Command{Verb: verb}, nil
-	}
+	return pos, 0, nil
 }
 
-// isFatalOrIO reports whether err already abandons framing (a fatal
-// *ClientError or a transport error), in which case draining the rest of
-// the array is pointless and the error must surface as-is.
-func isFatalOrIO(err error) bool {
-	if ce, ok := err.(*ClientError); ok {
-		return ce.Fatal
-	}
-	return true // io errors; non-ClientError
+// build turns the tokens scan recorded into a Command and drops them
+// (see TextCodec.build).
+func (rc *RESPCodec) build() (Command, error) {
+	cmd, err := respCommand(rc.fields)
+	clear(rc.fields)
+	return cmd, err
 }
 
-// inlineCommand parses a RESP inline command: the whole request on one
-// space-separated line, like the text protocol but with redis verb
-// spellings and no SET data block (the value is the third token).
-func (rc *RESPCodec) inlineCommand(line []byte) (Command, error) {
-	rc.fields = asciiFieldsInto(rc.fields[:0], line)
-	f := rc.fields
+// respCommand judges one request's tokens, copying out what the Command
+// keeps.
+func respCommand(f [][]byte) (Command, error) {
 	if len(f) == 0 {
 		return Command{}, clientErr(false, "empty request")
 	}
@@ -311,103 +193,25 @@ func (rc *RESPCodec) inlineCommand(line []byte) (Command, error) {
 	if len(f) != verbArity(verb) {
 		return Command{}, clientErr(false, "wrong number of arguments for %s", verb)
 	}
+	cmd := Command{Verb: verb}
+	if len(f) == 1 { // STATS, QUIT, PING
+		return cmd, nil
+	}
+	if !validKey(f[1]) {
+		return Command{}, clientErr(false, "bad key")
+	}
+	cmd.Key = string(f[1])
 	switch verb {
-	case VerbGet, VerbDelete:
-		if !validKey(f[1]) {
-			return Command{}, clientErr(false, "bad key")
-		}
-		return Command{Verb: verb, Key: string(f[1])}, nil
 	case VerbSet:
-		if !validKey(f[1]) {
-			return Command{}, clientErr(false, "bad key")
-		}
-		return Command{Verb: VerbSet, Key: string(f[1]), Value: append([]byte(nil), f[2]...)}, nil
+		cmd.Value = append([]byte{}, f[2]...)
 	case VerbRange:
-		if !validKey(f[1]) {
-			return Command{}, clientErr(false, "bad start key")
-		}
 		n, ok := parseDecimal(f[2])
 		if !ok || n < 1 || n > MaxRange {
 			return Command{}, clientErr(false, "bad count %q (want 1..%d)", f[2], MaxRange)
 		}
-		return Command{Verb: VerbRange, Key: string(f[1]), Count: int(n)}, nil
-	default:
-		return Command{Verb: verb}, nil
+		cmd.Count = int(n)
 	}
-}
-
-// ReadCommand reads and parses one RESP request (array or inline).
-// Errors are io errors, ErrUnknownVerb, or *ClientError; unlike the text
-// protocol most malformations are recoverable, because bulk strings are
-// length-prefixed and can be consumed even when their content is
-// rejected — only a broken array/bulk header or missing terminator loses
-// framing and turns fatal.
-func (rc *RESPCodec) ReadCommand(r *bufio.Reader) (Command, error) {
-	line, err := readLine(r)
-	if err != nil {
-		return Command{}, err
-	}
-	if len(line) == 0 {
-		return Command{}, clientErr(false, "empty request")
-	}
-	if line[0] != '*' {
-		return rc.inlineCommand(line)
-	}
-	n, ok := parseDecimal(line[1:])
-	if !ok || n < 1 || n > maxRESPArgs {
-		return Command{}, clientErr(true, "bad array length %q", line[1:])
-	}
-	return rc.readArrayCommand(r, int(n))
-}
-
-// Complete reports whether buf holds one whole RESP request (see
-// TextCodec.Complete for the contract). For arrays it walks the declared
-// element lengths; a malformation that ReadCommand rejects while still
-// inside buf also counts as complete, since the error path consumes no
-// bytes beyond it.
-func (rc *RESPCodec) Complete(buf []byte) bool {
-	if len(buf) == 0 {
-		return false
-	}
-	if buf[0] != '*' {
-		return bytes.IndexByte(buf, '\n') >= 0
-	}
-	nl := bytes.IndexByte(buf, '\n')
-	if nl < 0 {
-		return false
-	}
-	n, ok := parseDecimal(trimCR(buf[1:nl]))
-	if !ok || n < 1 || n > maxRESPArgs {
-		return true // ReadCommand fails on the header alone
-	}
-	pos := nl + 1
-	for i := int64(0); i < n; i++ {
-		rest := buf[pos:]
-		nl = bytes.IndexByte(rest, '\n')
-		if nl < 0 {
-			return false
-		}
-		hdr := trimCR(rest[:nl])
-		if len(hdr) < 2 || hdr[0] != '$' {
-			return true // fatal on this header, already buffered
-		}
-		m, ok := parseDecimal(hdr[1:])
-		if !ok || m < 0 || m > MaxValueLen {
-			return true // fatal on this header
-		}
-		pos += nl + 1 + int(m) + 2
-		if int64(len(buf)) < int64(pos) {
-			return false
-		}
-	}
-	return true
-}
-
-func trimCR(b []byte) []byte {
-	if len(b) > 0 && b[len(b)-1] == '\r' {
-		return b[:len(b)-1]
-	}
-	return b
+	return cmd, nil
 }
 
 // RESP reply encoders (append-style; used by RESPCodec and tests).
@@ -531,6 +335,9 @@ func (rc *RESPCodec) AppendUnknownVerb(dst []byte) []byte {
 // AppendRESPCommand appends the RESP array encoding of c — the client
 // side of RESPCodec.ReadCommand. DELETE is spelled DEL on the wire.
 func AppendRESPCommand(dst []byte, c Command) ([]byte, error) {
+	if err := checkKey(c); err != nil {
+		return dst, err
+	}
 	switch c.Verb {
 	case VerbGet:
 		dst = AppendRESPArrayHeader(dst, 2)

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 func respReader(s string) *bufio.Reader { return bufio.NewReader(strings.NewReader(s)) }
@@ -51,33 +52,44 @@ func TestRESPReadCommandWellFormed(t *testing.T) {
 	}
 }
 
+var longKey = strings.Repeat("k", MaxKeyLen+1)
+
+// malformedRESP is TestRESPReadCommandMalformed's table;
+// TestCompleteScanners checks the pipeline scanner against the same rows.
+var malformedRESP = []struct {
+	in    string
+	fatal bool
+}{
+	{"*0\r\n", true},                                     // empty array
+	{"*-1\r\n", true},                                    // negative array length
+	{"*999\r\n", true},                                   // array length over maxRESPArgs
+	{"*notanum\r\n", true},                               // unparsable array length
+	{"*2\r\nGET\r\n$1\r\nk\r\n", true},                   // element without bulk header
+	{"*2\r\n$3\r\nGET\r\n$-2\r\n", true},                 // negative bulk length
+	{"*2\r\n$3\r\nGET\r\n$1\r\nkX", true},                // missing bulk terminator
+	{"*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$1048577\r\n", true}, // value over MaxValueLen
+	{"*1\r\n$3\r\nGET\r\n", false},                       // wrong arity
+	{"*3\r\n$3\r\nGET\r\n$1\r\na\r\n$1\r\nb\r\n", false}, // wrong arity, args drained
+	{"*2\r\n$3\r\nGET\r\n$0\r\n\r\n", false},             // empty key
+	{"*2\r\n$3\r\nGET\r\n$" + lenStr(longKey) + "\r\n" + longKey + "\r\n", false}, // oversized key
+	{"*2\r\n$3\r\nGET\r\n$3\r\na b\r\n", false},                                   // space in key
+	{"*3\r\n$5\r\nRANGE\r\n$1\r\na\r\n$2\r\n-3\r\n", false},                       // bad count
+	{"\r\n", false},           // empty inline line
+	{"GET\r\n", false},        // inline wrong arity
+	{"GET a b c\r\n", false},  // inline wrong arity
+	{"RANGE a zz\r\n", false}, // inline bad count
+	{strings.Repeat("x", MaxLineLen+10) + "\r\n", true}, // over-long inline line
+	// An array is framed whole before it is judged, so one whose declared
+	// bulks pass the largest legal request is refused at the header that
+	// crosses the bound, before that bulk is buffered: each bulk here is
+	// legal alone, and the verdict comes without the last one's body.
+	{"*3\r\n$3\r\nSET\r\n$" + lenStr(maxBulk) + "\r\n" + maxBulk + "\r\n$400\r\n", true},
+}
+
+var maxBulk = strings.Repeat("v", MaxValueLen)
+
 func TestRESPReadCommandMalformed(t *testing.T) {
-	longKey := strings.Repeat("k", MaxKeyLen+1)
-	tests := []struct {
-		in    string
-		fatal bool
-	}{
-		{"*0\r\n", true},                                     // empty array
-		{"*-1\r\n", true},                                    // negative array length
-		{"*999\r\n", true},                                   // array length over maxRESPArgs
-		{"*notanum\r\n", true},                               // unparsable array length
-		{"*2\r\nGET\r\n$1\r\nk\r\n", true},                   // element without bulk header
-		{"*2\r\n$3\r\nGET\r\n$-2\r\n", true},                 // negative bulk length
-		{"*2\r\n$3\r\nGET\r\n$1\r\nkX", true},                // missing bulk terminator
-		{"*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$1048577\r\n", true}, // value over MaxValueLen
-		{"*1\r\n$3\r\nGET\r\n", false},                       // wrong arity
-		{"*3\r\n$3\r\nGET\r\n$1\r\na\r\n$1\r\nb\r\n", false}, // wrong arity, args drained
-		{"*2\r\n$3\r\nGET\r\n$0\r\n\r\n", false},             // empty key
-		{"*2\r\n$3\r\nGET\r\n$" + lenStr(longKey) + "\r\n" + longKey + "\r\n", false}, // oversized key
-		{"*2\r\n$3\r\nGET\r\n$3\r\na b\r\n", false},                                   // space in key
-		{"*3\r\n$5\r\nRANGE\r\n$1\r\na\r\n$2\r\n-3\r\n", false},                       // bad count
-		{"\r\n", false},           // empty inline line
-		{"GET\r\n", false},        // inline wrong arity
-		{"GET a b c\r\n", false},  // inline wrong arity
-		{"RANGE a zz\r\n", false}, // inline bad count
-		{strings.Repeat("x", MaxLineLen+10) + "\r\n", true}, // over-long inline line
-	}
-	for _, tt := range tests {
+	for _, tt := range malformedRESP {
 		var rc RESPCodec
 		_, err := rc.ReadCommand(respReader(tt.in))
 		var ce *ClientError
@@ -242,6 +254,9 @@ func TestCompleteScanners(t *testing.T) {
 		"FROB x\r\n",        // unknown verb: decidable from the line
 		"SET k zz\r\n",      // bad length: decidable from the line
 		"SET k 1048577\r\n", // over-limit: fatal from the line
+		// Bad key: ReadCommand answers from the line and the next request
+		// starts on the next one, so no data block is waited for.
+		"SET " + longKey + " 5\r\n",
 	}
 	var tc TextCodec
 	for _, s := range wholeText {
@@ -280,33 +295,91 @@ func TestCompleteScanners(t *testing.T) {
 		t.Error("resp Complete(nil) = true")
 	}
 
-	// Complete-then-read agreement: for every whole command above,
-	// ReadCommand must resolve using only the buffered bytes (no EOF
-	// surprises besides the decidable-error cases).
-	for _, s := range wholeText {
-		if _, err := tc.ReadCommand(respReader(s)); err == io.EOF {
-			t.Errorf("text ReadCommand(%q) hit EOF after Complete said true", s)
-		}
+	// Complete ⇔ ReadCommand without blocking, on every input above and
+	// every row of the malformed-input tables: behind the input the reader
+	// stalls (as a socket whose client sent nothing more would), and
+	// ReadCommand must reach its verdict before the stall exactly when
+	// Complete said the input holds one.
+	for _, s := range malformedText {
+		wholeText = append(wholeText, s.in)
 	}
-	for _, s := range wholeRESP {
-		if _, err := rcodec.ReadCommand(respReader(s)); err == io.EOF {
-			t.Errorf("resp ReadCommand(%q) hit EOF after Complete said true", s)
+	for _, s := range malformedRESP {
+		wholeRESP = append(wholeRESP, s.in)
+	}
+	errStall := errors.New("read would block")
+	for _, side := range []struct {
+		codec  ServerCodec
+		inputs []string
+	}{{&tc, wholeText}, {&rcodec, wholeRESP}} {
+		for _, s := range side.inputs {
+			for _, in := range []string{s, s[:len(s)-1], s[:len(s)/2]} {
+				r := bufio.NewReader(io.MultiReader(strings.NewReader(in), iotest.ErrReader(errStall)))
+				_, err := side.codec.ReadCommand(r)
+				if stalled, complete := err == errStall, side.codec.Complete([]byte(in)); stalled == complete {
+					t.Errorf("%s Complete(%.40q) = %v but ReadCommand returned %v", side.codec.Name(), in, complete, err)
+				}
+			}
 		}
 	}
 }
 
-// TestBufferPool exercises the sized-class cycle.
-func TestBufferPool(t *testing.T) {
-	b := GetBuffer(0)
-	if len(b) != 0 || cap(b) < 4<<10 {
-		t.Fatalf("GetBuffer(0): len %d cap %d", len(b), cap(b))
+// TestReadCommandOutgrowsReader: a request larger than the reader's
+// buffer is assembled in storage of the codec's own, however small the
+// buffer and however the transport fragments the stream, and leaves the
+// reader standing at the next request.
+func TestReadCommandOutgrowsReader(t *testing.T) {
+	big := bytes.Repeat([]byte("0123456789abcdef"), 300<<10/16)
+	set := Command{Verb: VerbSet, Key: "big", Value: big}
+	get := Command{Verb: VerbGet, Key: "after"}
+	for _, side := range []struct {
+		codec  ServerCodec
+		encode func([]byte, Command) ([]byte, error)
+	}{{&TextCodec{}, AppendCommand}, {&RESPCodec{}, AppendRESPCommand}} {
+		wire, _ := side.encode(nil, set)
+		wire, _ = side.encode(wire, get)
+		for _, size := range []int{16, 4 << 10, 16 << 10} {
+			for name, fragment := range map[string]func(io.Reader) io.Reader{
+				"OneByteReader": iotest.OneByteReader, "HalfReader": iotest.HalfReader,
+			} {
+				r := bufio.NewReaderSize(fragment(bytes.NewReader(wire)), size)
+				for _, want := range []Command{set, get} {
+					got, err := side.codec.ReadCommand(r)
+					if err != nil || got.Verb != want.Verb || got.Key != want.Key || !bytes.Equal(got.Value, want.Value) {
+						t.Fatalf("%s, %d-byte buffer, %s: %s %s = %s %s (%d-byte value), %v", side.codec.Name(), size, name,
+							want.Verb, want.Key, got.Verb, got.Key, len(got.Value), err)
+					}
+				}
+				if _, err := side.codec.ReadCommand(r); err != io.EOF {
+					t.Fatalf("%s, %d-byte buffer, %s: after both requests: %v, want io.EOF", side.codec.Name(), size, name, err)
+				}
+			}
+		}
 	}
-	b = append(b, "data"...)
-	PutBuffer(b)
-	big := GetBuffer(100 << 10)
-	if cap(big) < 100<<10 {
-		t.Fatalf("GetBuffer(100K): cap %d", cap(big))
+}
+
+// TestReadCommandCutMidRequest: a stream that ends inside a request is a
+// fatal "truncated request" wherever it ends, and a transport error
+// inside one (a read deadline) surfaces as itself — the server counts it
+// as the transport's failure, not the client's grammar.
+func TestReadCommandCutMidRequest(t *testing.T) {
+	big := strings.Repeat("v", 40<<10) // outgrows the reader: the own-storage path
+	for _, side := range []struct {
+		codec ServerCodec
+		cuts  []string
+	}{
+		{&TextCodec{}, []string{"GE", "SET k 5\r\nhel", "SET k 5\r\nhello\r", "SET k 40960\r\n" + big[:20<<10]}},
+		{&RESPCodec{}, []string{"*2\r", "*2\r\n$3\r\nGET\r\n$1", "*2\r\n$3\r\nGET\r\n$1\r\nk", "*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$40960\r\n" + big[:20<<10]}},
+	} {
+		for _, in := range side.cuts {
+			_, err := side.codec.ReadCommand(bufio.NewReader(strings.NewReader(in)))
+			var ce *ClientError
+			if !errors.As(err, &ce) || !ce.Fatal || ce.Msg != "truncated request" {
+				t.Errorf("%s EOF after %.30q: %v, want fatal truncated request", side.codec.Name(), in, err)
+			}
+			r := bufio.NewReader(io.MultiReader(strings.NewReader(in), iotest.ErrReader(iotest.ErrTimeout)))
+			if _, err := side.codec.ReadCommand(r); err != iotest.ErrTimeout {
+				t.Errorf("%s timeout after %.30q: %v, want the transport's error", side.codec.Name(), in, err)
+			}
+		}
 	}
-	PutBuffer(big)
-	PutBuffer(make([]byte, 0, 8<<20)) // oversized: dropped, must not panic
 }

@@ -8,31 +8,19 @@ import (
 
 // Batched execution: the connection loop (conn.go) drains every
 // fully-buffered request into a []batchEntry, execEntries runs them, and
-// the reply phase encodes all outcomes — in request order — into one
-// buffer written with a single syscall.
-//
-// Execution may reorder *keyed* commands (GET/SET/DELETE) within a batch
-// to group them by shard, which is what amortizes the per-op costs: one
-// shard lookup and one persist logMu acquisition per shard-group instead
-// of per command. The reordering is linearizability-safe: commands
-// pipelined in one batch are concurrent from the client's point of view
-// (it sent them all before reading any reply), and two commands on the
-// SAME key always hash to the same shard, where the group executes them
-// in batch order — so per-key program order is preserved, which is
-// exactly the guarantee a pipelined client can rely on.
-//
-// Non-keyed commands (RANGE, STATS, PING, QUIT) and read errors are
-// barriers: they split the batch into segments and never reorder across
-// keyed commands, so a RANGE observes every earlier write in its batch.
+// the reply phase encodes all outcomes into one buffer written with a
+// single syscall. Execution, AOF appends and replies all follow request
+// order, so a connection's pipeline reads exactly like the same requests
+// sent one at a time: a RANGE observes every earlier write in its batch,
+// and the log holds one connection's mutations in the order it sent
+// them. Batching amortizes the socket reads and the write; nothing is
+// amortized across commands, so no lock outlives one command.
 
 // batchEntry is one request in a drained batch plus its outcome. The
 // slice of entries is connection-owned scratch, reused across batches.
 type batchEntry struct {
 	cmd     proto.Command
 	readErr error // parse outcome from the codec; nil for executable entries
-
-	shard int  // keyed commands: shard index, set during grouping
-	done  bool // keyed commands: already executed by an earlier group pass
 
 	val        []byte // GET result
 	found      bool   // GET hit / DELETE deleted
@@ -46,98 +34,33 @@ type batchEntry struct {
 // one-at-a-time path always produced.
 var errRangeUnordered = errors.New("range on unordered backend")
 
-func keyedVerb(v proto.Verb) bool {
-	return v == proto.VerbGet || v == proto.VerbSet || v == proto.VerbDelete
-}
-
-// execEntries executes a drained batch: maximal runs of consecutive
-// keyed commands execute shard-grouped; everything else executes in
-// place as a barrier.
+// execEntries executes a drained batch in request order.
 func (s *Server) execEntries(entries []batchEntry) {
-	i := 0
-	for i < len(entries) {
+	for i := range entries {
 		e := &entries[i]
 		if e.readErr != nil {
-			i++
 			continue
 		}
-		if !keyedVerb(e.cmd.Verb) {
+		switch e.cmd.Verb {
+		case proto.VerbGet, proto.VerbSet, proto.VerbDelete:
+			s.execKeyed(e)
+		default:
 			s.execMisc(e)
-			i++
-			continue
-		}
-		j := i + 1
-		for j < len(entries) && entries[j].readErr == nil && keyedVerb(entries[j].cmd.Verb) {
-			j++
-		}
-		s.execKeyedRun(entries[i:j])
-		i = j
-	}
-}
-
-// execKeyedRun executes one run of keyed commands grouped by shard. The
-// scan is O(run × groups) with no allocation: for each not-yet-done
-// entry, execute it and then sweep forward for every later entry on the
-// same shard. A single-command run skips the grouping machinery — the
-// empty-pipeline fast path.
-func (s *Server) execKeyedRun(run []batchEntry) {
-	if len(run) == 1 {
-		s.execKeyedSingle(&run[0])
-		return
-	}
-	for k := range run {
-		run[k].shard = s.shardIndex(run[k].cmd.Key)
-	}
-	for k := range run {
-		if !run[k].done {
-			s.execShardGroup(run[k:], run[k].shard)
 		}
 	}
 }
 
-// execShardGroup executes every not-done entry in run that lives on
-// shard si, taking the shard's persist mutex at most once for the whole
-// group — the per-batch amortization of the logMu acquisition. The lock
-// is taken lazily on the first mutation, so a read-only group never
-// serializes against writers, and released via defer so a panicking
-// backend (see TestPanicIsolation) cannot leak it.
-func (s *Server) execShardGroup(run []batchEntry, si int) {
-	sh := s.shards[si]
-	locked := false
-	defer func() {
-		if locked {
-			sh.logMu.Unlock()
-		}
-	}()
-	for m := range run {
-		e := &run[m]
-		if e.done || e.shard != si {
-			continue
-		}
-		e.done = true
-		if !locked && s.log != nil && e.cmd.Verb != proto.VerbGet {
-			sh.logMu.Lock()
-			locked = true
-		}
-		s.execKeyedLocked(sh, e)
-	}
-}
-
-// execKeyedSingle is the ungrouped path: one keyed command, taking logMu
-// only if this command mutates and persistence is on.
-func (s *Server) execKeyedSingle(e *batchEntry) {
+// execKeyed executes one keyed command against its shard. A mutation
+// with persistence on holds the shard's logMu across its apply and its
+// append — the ordering contract of persist.go — and no longer; the
+// unlock is deferred so a panicking backend (see TestPanicIsolation)
+// cannot leak the lock.
+func (s *Server) execKeyed(e *batchEntry) {
 	sh := s.shardFor(e.cmd.Key)
 	if s.log != nil && e.cmd.Verb != proto.VerbGet {
 		sh.logMu.Lock()
 		defer sh.logMu.Unlock()
 	}
-	s.execKeyedLocked(sh, e)
-}
-
-// execKeyedLocked executes one keyed command against its shard. Caller
-// holds sh.logMu whenever s.log != nil and the command mutates — the
-// apply-then-append ordering contract of persist.go.
-func (s *Server) execKeyedLocked(sh *shard, e *batchEntry) {
 	if s.panicHook != nil {
 		s.panicHook(e.cmd)
 	}
@@ -182,7 +105,7 @@ func (s *Server) execKeyedLocked(sh *shard, e *batchEntry) {
 	}
 }
 
-// execMisc executes a non-keyed command (a batch barrier).
+// execMisc executes a non-keyed command.
 func (s *Server) execMisc(e *batchEntry) {
 	if s.panicHook != nil {
 		s.panicHook(e.cmd)

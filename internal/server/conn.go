@@ -30,9 +30,11 @@ type conn struct {
 	srv *Server
 	nc  net.Conn
 
-	// entries is the batch scratch, reused across loop iterations and
-	// touched only by the serving goroutine.
+	// entries and out are the batch scratch — the drained requests and
+	// their encoded replies — reused across loop iterations and touched
+	// only by the serving goroutine.
 	entries []batchEntry
+	out     []byte
 
 	mu      sync.Mutex
 	busy    bool // between reading a request and writing its reply
@@ -67,6 +69,11 @@ const (
 	// the entries scratch and the reply buffer a hostile pipeliner can
 	// make a single connection hold.
 	maxBatch = 256
+
+	// maxIdleReply is the largest reply buffer a connection keeps between
+	// batches; one that a burst grew past it is dropped after the write,
+	// so an idle connection never pins a burst-sized buffer.
+	maxIdleReply = 64 << 10
 )
 
 // countingReader counts bytes read off the socket into the server's
@@ -145,13 +152,16 @@ func (c *conn) serve() {
 			// batch was read but not begun, so dropping it is safe.
 			return
 		}
-		out, quit := c.execAndReply(codec, c.entries, proto.GetBuffer(0))
-		werr := c.writeReply(out)
-		proto.PutBuffer(out)
+		var quit bool
+		c.out, quit = c.execAndReply(codec, c.entries, c.out[:0])
+		werr := c.writeReply(c.out)
 		// The scratch outlives the batch: drop its references to request
 		// values and results, or one deep pipeline would keep them
 		// reachable for as long as the connection then sits idle.
 		clear(c.entries)
+		if cap(c.out) > maxIdleReply {
+			c.out = nil
+		}
 		closing := c.setBusy(false)
 		if quit || closing || werr != nil {
 			return

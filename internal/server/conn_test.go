@@ -68,3 +68,40 @@ func TestBatchScratchDropsReferences(t *testing.T) {
 		}
 	}
 }
+
+// TestReplyBufferDroppedAfterBurst: the reply buffer is connection-owned
+// scratch too. One that a burst grew past maxIdleReply is dropped after
+// the write, so the connection goes on with a small buffer instead of
+// pinning its largest reply for as long as it then sits idle.
+func TestReplyBufferDroppedAfterBurst(t *testing.T) {
+	srv := newStore(t, BackendHash, "gc", 1)
+	client, server := net.Pipe()
+	c := &conn{srv: srv, nc: server}
+	srv.wg.Add(1)
+	served := make(chan struct{})
+	go func() { c.serve(); close(served) }()
+
+	big := strings.Repeat("v", 2*maxIdleReply)
+	replies := bufio.NewReader(client)
+	for _, step := range []struct {
+		req      string
+		replyLen int
+	}{
+		{fmt.Sprintf("SET big %d\r\n%s\r\n", len(big), big), len("STORED\r\n")},
+		{"GET big\r\n", len(fmt.Sprintf("VALUE big %d\r\n%s\r\nEND\r\n", len(big), big))},
+		{"GET missing\r\n", len("END\r\n")},
+	} {
+		if _, err := io.WriteString(client, step.req); err != nil {
+			t.Fatalf("%.12q: write: %v", step.req, err)
+		}
+		if _, err := io.ReadFull(replies, make([]byte, step.replyLen)); err != nil {
+			t.Fatalf("%.12q: read: %v", step.req, err)
+		}
+	}
+	client.Close()
+	<-served // serve has returned: c.out is ours to read
+	if cap(c.out) == 0 || cap(c.out) > maxIdleReply {
+		t.Fatalf("reply buffer capacity %d after a small reply following a %d-byte one, want 1..%d",
+			cap(c.out), len(big), maxIdleReply)
+	}
+}

@@ -9,7 +9,9 @@ import (
 	"bufio"
 	"context"
 	"errors"
+	"io"
 	"net"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -80,6 +82,54 @@ func TestSlowLorisCutByReadDeadline(t *testing.T) {
 	c.Close()
 
 	waitNoGoroutineLeak(t, base, 1)
+	stop()
+}
+
+// TestStallMidRequestCountsTimeout: a client that goes quiet inside a
+// request — past its line, in a SET's data block or a RESP bulk — is cut
+// by the read deadline without a reply and counted in conn_timeouts like
+// one that stalls mid-line, while a client that closes there is told
+// "truncated request": the first is the transport's failure, the second
+// the client's.
+func TestStallMidRequestCountsTimeout(t *testing.T) {
+	_, addr, stop := bootServer(t, server.Config{
+		Backend: server.BackendHash, Shards: 1, ReadTimeout: 200 * time.Millisecond,
+	})
+	for i, partial := range []string{"SET k 10\r\nabc", "*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$10\r\nabc"} {
+		for _, closeWrite := range []bool{false, true} {
+			nc, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatalf("Dial: %v", err)
+			}
+			nc.SetDeadline(time.Now().Add(10 * time.Second))
+			if _, err := io.WriteString(nc, partial); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+			if closeWrite {
+				nc.(*net.TCPConn).CloseWrite()
+			}
+			reply, err := io.ReadAll(nc)
+			nc.Close()
+			if err != nil {
+				t.Fatalf("%q closeWrite=%v: read: %v", partial, closeWrite, err)
+			}
+			switch got := string(reply); {
+			case closeWrite && !strings.Contains(got, "CLIENT_ERROR truncated request"):
+				t.Errorf("%q then EOF: reply %q, want CLIENT_ERROR truncated request", partial, got)
+			case !closeWrite && got != "":
+				t.Errorf("%q then a stall: reply %q, want the connection cut without one", partial, got)
+			}
+		}
+		c := dialTest(t, addr)
+		stats, err := c.Stats()
+		if err != nil {
+			t.Fatalf("Stats: %v", err)
+		}
+		if got, want := stats["conn_timeouts"], strconv.Itoa(i+1); got != want {
+			t.Errorf("conn_timeouts = %s after %d stalled requests, want %s", got, i+1, want)
+		}
+		c.Close()
+	}
 	stop()
 }
 
@@ -193,9 +243,11 @@ func TestMaxConnsGate(t *testing.T) {
 // TestPanicIsolation injects a panic into dispatch (via the test-only
 // hook): the panicking connection gets SERVER_ERROR and closes, every
 // other connection keeps working, conn_panics counts it, and nothing
-// leaks — one poisoned request cannot take the server down.
+// leaks — one poisoned request cannot take the server down. Persistence
+// is on and there is one shard, so the poisoned DELETE panics holding the
+// only logMu: the bystander's next mutation would hang on a leaked lock.
 func TestPanicIsolation(t *testing.T) {
-	srv, err := server.New(server.Config{Backend: server.BackendSkipList, Shards: 1})
+	srv, err := server.New(server.Config{Backend: server.BackendSkipList, Shards: 1, PersistDir: t.TempDir()})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -232,7 +284,10 @@ func TestPanicIsolation(t *testing.T) {
 	victim.Close()
 
 	// The bystander connection — and the server as a whole — survive.
-	if v, found, err := bystander.Get("x"); err != nil || !found || string(v) != "1" {
+	if err := bystander.Set("x", []byte("2")); err != nil {
+		t.Fatalf("bystander Set after panic: %v", err)
+	}
+	if v, found, err := bystander.Get("x"); err != nil || !found || string(v) != "2" {
 		t.Fatalf("bystander Get after panic = %q,%v,%v", v, found, err)
 	}
 	stats, err := bystander.Stats()

@@ -24,11 +24,11 @@ import (
 // structures, and mutations in different shards never serialize against
 // each other.
 //
-// The mutation path itself lives in batch.go (execKeyedLocked): the
-// batched executor takes logMu once per shard-group — one acquisition
-// covering every mutation a pipelined batch sends to that shard — and
-// applies then appends each command in batch order under it, which
-// preserves this contract while amortizing the lock.
+// The mutation path itself lives in batch.go (execKeyed): a batch runs
+// in request order and each mutation takes logMu for its own apply and
+// append only, so a deep pipeline to one shard never holds that shard's
+// other writers behind a whole batch, and the log keeps one connection's
+// mutations in the order it sent them.
 //
 // If the append itself fails (disk full, log closed mid-shutdown), the
 // in-memory apply has already happened: memory and disk have diverged.

@@ -11,13 +11,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"valois/internal/client"
+	"valois/internal/persist"
+	"valois/internal/proto"
 	"valois/internal/server"
 	"valois/internal/testenv"
 )
@@ -320,5 +324,95 @@ func TestServerPersistStatsDisabled(t *testing.T) {
 		if got := statInt(t, stats, name); got != 0 {
 			t.Errorf("%s = %d with persistence disabled, want 0", name, got)
 		}
+	}
+}
+
+// TestBatchExecutesInRequestOrder pipelines one batch that mixes shards,
+// verbs and RANGEs and checks it reads exactly like the same requests
+// sent one at a time: every reply reflects all earlier requests of the
+// batch and none of the later ones, and the AOF holds the batch's
+// mutations in the order the connection sent them.
+func TestBatchExecutesInRequestOrder(t *testing.T) {
+	dir := t.TempDir()
+	_, addr, stop := bootPersist(t, server.Config{
+		Backend: server.BackendSkipList, Shards: 8, PersistDir: dir, FsyncPolicy: "no",
+	})
+	var req, wantReply strings.Builder
+	var wantLog []string
+	set := func(k, v string) {
+		fmt.Fprintf(&req, "SET %s %d\r\n%s\r\n", k, len(v), v)
+		wantReply.WriteString("STORED\r\n")
+		wantLog = append(wantLog, "SET "+k+" "+v)
+	}
+	del := func(k string, hit bool) {
+		fmt.Fprintf(&req, "DELETE %s\r\n", k)
+		if hit {
+			wantReply.WriteString("DELETED\r\n")
+			wantLog = append(wantLog, "DELETE "+k+" ")
+		} else {
+			wantReply.WriteString("NOT_FOUND\r\n") // a miss mutates nothing and is not logged
+		}
+	}
+	read := func(request string, items ...string) { // items: key, value pairs
+		req.WriteString(request + "\r\n")
+		for i := 0; i < len(items); i += 2 {
+			fmt.Fprintf(&wantReply, "VALUE %s %d\r\n%s\r\n", items[i], len(items[i+1]), items[i+1])
+		}
+		wantReply.WriteString("END\r\n")
+	}
+	for i := 0; i < 12; i++ { // twelve keys over eight shards: shards repeat, apart
+		set(fmt.Sprintf("k%02d", i), fmt.Sprintf("v%d", i))
+	}
+	read("GET k03", "k03", "v3")
+	del("k00", true)
+	read("RANGE k00 3", "k01", "v1", "k02", "v2", "k03", "v3")
+	set("k00", "again")
+	del("k02", true)
+	del("nope", false)
+	read("GET k02")
+	set("k02", "back")
+	set("k01", "last")
+	read("RANGE k00 3", "k00", "again", "k01", "last", "k02", "back")
+	requests := 12 + 10
+
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer nc.Close()
+	nc.SetDeadline(time.Now().Add(10 * time.Second))
+	// One write far below the server's read buffer: one batch.
+	if _, err := io.WriteString(nc, req.String()); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	reply := make([]byte, wantReply.Len())
+	if _, err := io.ReadFull(nc, reply); err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	if string(reply) != wantReply.String() {
+		t.Errorf("replies out of request order:\n got %q\nwant %q", reply, wantReply.String())
+	}
+	c := dialTest(t, addr)
+	stats, err := c.Stats()
+	if err != nil {
+		t.Fatalf("Stats: %v", err)
+	}
+	if got := statInt(t, stats, "batched_ops"); got != requests {
+		t.Fatalf("batched_ops = %d: the pipeline did not arrive as one batch of %d", got, requests)
+	}
+	c.Close()
+	stop()
+
+	var gotLog []string
+	log, _, err := persist.Open(dir, persist.PolicyNo, func(cmd proto.Command) error {
+		gotLog = append(gotLog, fmt.Sprintf("%s %s %s", cmd.Verb, cmd.Key, cmd.Value))
+		return nil
+	}, nil)
+	if err != nil {
+		t.Fatalf("reopening the log: %v", err)
+	}
+	log.Close()
+	if fmt.Sprint(gotLog) != fmt.Sprint(wantLog) {
+		t.Errorf("AOF record order differs from request order:\n got %q\nwant %q", gotLog, wantLog)
 	}
 }

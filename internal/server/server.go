@@ -319,8 +319,7 @@ func (s *Server) Ordered() bool { return s.shards[0].ord != nil }
 // persistence is disabled or the directory was empty).
 func (s *Server) Recovery() persist.RecoveryInfo { return s.recovery }
 
-// shardIndex hashes a key to its shard's index; the batch executor uses
-// the index directly to group same-shard commands.
+// shardIndex hashes a key to its shard's index.
 func (s *Server) shardIndex(key string) int {
 	return int(dict.HashString(key) % uint64(len(s.shards)))
 }

@@ -113,19 +113,8 @@ func New[K cmp.Ordered, V any](mode mm.Mode, opts ...Option) *SkipList[K, V] {
 	if o.maxLevel < 1 {
 		o.maxLevel = 1
 	}
-	var manager mm.Manager[item[K, V]]
-	switch mode {
-	case mm.ModeRC:
-		rc := mm.NewRC[item[K, V]](o.rcOpts...)
-		rc.SetReclaimExtractor(downOf[K, V])
-		manager = rc
-	case mm.ModeEBR:
-		ebr := mm.NewEBR[item[K, V]](o.rcOpts...)
-		ebr.SetReclaimExtractor(downOf[K, V])
-		manager = ebr
-	default:
-		manager = mm.NewGC[item[K, V]]()
-	}
+	manager := mm.NewManager[item[K, V]](mode, o.rcOpts...)
+	mm.SetReclaimExtractor(manager, downOf[K, V])
 	return newOn(manager, o.maxLevel, o.seed)
 }
 
@@ -178,14 +167,7 @@ func (s *SkipList[K, V]) SetYieldHook(f func()) {
 func (s *SkipList[K, V]) WorkStats() core.WorkStats {
 	var total core.WorkStats
 	for _, l := range s.levels {
-		w := l.Stats().Snapshot()
-		total.AuxSkips += w.AuxSkips
-		total.AuxRemovals += w.AuxRemovals
-		total.BacklinkSteps += w.BacklinkSteps
-		total.ChainSteps += w.ChainSteps
-		total.DeleteCASRetries += w.DeleteCASRetries
-		total.InsertRetries += w.InsertRetries
-		total.DeleteRetries += w.DeleteRetries
+		total.Add(l.Stats().Snapshot())
 	}
 	return total
 }
