@@ -30,7 +30,7 @@ PROTOCOL ?= text
 
 .PHONY: build test race lint lint-json lint-sarif lint-debt lint-strict \
 	fuzz-short fmt-check bench-quick serve loadgen smoke chaos durability \
-	bench-build
+	bench-build bench-test
 
 build:
 	$(GO) build ./...
@@ -42,6 +42,13 @@ build:
 bench-build:
 	GOWORK=off GOFLAGS=-buildvcs=false $(GO) build -C bench ./...
 	GOWORK=off GOFLAGS=-buildvcs=false $(GO) vet -C bench ./...
+
+# bench-test runs the benchmark module's own tests, which `go test ./...`
+# does not reach: among them TestReplayServerAndModelAgree, which checks
+# a real valoisd's replies — RANGE included — against the benchmark's
+# oracle.
+bench-test:
+	GOWORK=off GOFLAGS=-buildvcs=false $(GO) test -C bench ./...
 
 test:
 	$(GO) test ./...

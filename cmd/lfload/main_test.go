@@ -14,7 +14,7 @@ import (
 
 func startServer(t *testing.T) string {
 	t.Helper()
-	srv, err := server.New(server.Config{Backend: server.BackendSkipList, Shards: 4})
+	srv, err := server.New(server.Config{Backend: server.BackendSkipList})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -13,7 +13,7 @@ import (
 
 func testServer(t *testing.T) string {
 	t.Helper()
-	srv, err := server.New(server.Config{Backend: server.BackendSkipList, Shards: 2})
+	srv, err := server.New(server.Config{Backend: server.BackendSkipList})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

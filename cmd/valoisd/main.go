@@ -1,15 +1,14 @@
 // Command valoisd serves the paper's §4 lock-free dictionaries over TCP
 // with the memcached-style text protocol and the RESP protocol of
-// internal/proto (auto-detected per connection by default). Keys are
-// sharded across independent dictionary instances; the backend structure
-// and the §5 memory mode are flags, so the same daemon compares every
-// structure × mode combination under real network load (see bench/).
+// internal/proto (auto-detected per connection by default). All keys live
+// in one dictionary instance; the backend structure and the §5 memory
+// mode are flags, so the same daemon compares every structure × mode
+// combination under real network load (see bench/).
 //
 // Usage:
 //
-//	valoisd [-addr :11311] [-backend skiplist] [-mode gc] [-shards 16]
-//	        [-buckets 1024] [-gomaxprocs N] [-protocol auto|text|resp]
-//	        [-pprof ADDR]
+//	valoisd [-addr :11311] [-backend skiplist] [-mode gc] [-buckets 16384]
+//	        [-gomaxprocs N] [-protocol auto|text|resp] [-pprof ADDR]
 //	        [-aof -data-dir DIR [-fsync always|everysec|no] [-snapshot-interval 5m]]
 //
 // With -aof, every mutation is appended to an append-only log under
@@ -61,8 +60,7 @@ func run(args []string, logw io.Writer, onReady func(net.Addr)) int {
 		addr       = fs.String("addr", ":11311", "listen address")
 		backend    = fs.String("backend", server.BackendSkipList, "dictionary structure: "+strings.Join(server.Backends(), ", "))
 		mode       = fs.String("mode", "gc", "memory mode: gc, rc (§5 reference counts), or ebr (epoch-based reclamation)")
-		shards     = fs.Int("shards", 16, "independent dictionary instances keys are hashed across")
-		buckets    = fs.Int("buckets", 1024, "buckets per shard (hash backend only)")
+		buckets    = fs.Int("buckets", 16384, "hash table bucket count (hash backend only)")
 		gomaxprocs = fs.Int("gomaxprocs", 0, "if > 0, set GOMAXPROCS")
 		idleTO     = fs.Duration("idle-timeout", server.DefaultIdleTimeout, "per-connection idle deadline (negative disables)")
 		readTO     = fs.Duration("read-timeout", server.DefaultReadTimeout, "per-command read deadline (negative disables)")
@@ -89,7 +87,6 @@ func run(args []string, logw io.Writer, onReady func(net.Addr)) int {
 	cfg := server.Config{
 		Backend:      *backend,
 		Mode:         *mode,
-		Shards:       *shards,
 		Buckets:      *buckets,
 		IdleTimeout:  *idleTO,
 		ReadTimeout:  *readTO,
@@ -126,8 +123,8 @@ func run(args []string, logw io.Writer, onReady func(net.Addr)) int {
 		fmt.Fprintln(logw, "valoisd:", err)
 		return 1
 	}
-	fmt.Fprintf(logw, "valoisd: serving on %s (backend=%s mode=%s shards=%d protocol=%s gomaxprocs=%d)\n",
-		ln.Addr(), *backend, *mode, *shards, *protocol, runtime.GOMAXPROCS(0))
+	fmt.Fprintf(logw, "valoisd: serving on %s (backend=%s mode=%s protocol=%s gomaxprocs=%d)\n",
+		ln.Addr(), *backend, *mode, *protocol, runtime.GOMAXPROCS(0))
 	if onReady != nil {
 		onReady(ln.Addr())
 	}

@@ -42,7 +42,7 @@ func TestRunServesAndDrainsOnSIGTERM(t *testing.T) {
 	exit := make(chan int, 1)
 	go func() {
 		exit <- run(
-			[]string{"-addr", "127.0.0.1:0", "-backend", "skiplist", "-mode", "rc", "-shards", "4"},
+			[]string{"-addr", "127.0.0.1:0", "-backend", "skiplist", "-mode", "rc"},
 			&logs,
 			func(a net.Addr) { ready <- a },
 		)
@@ -90,7 +90,7 @@ func TestRunPprofAndProtocol(t *testing.T) {
 	exit := make(chan int, 1)
 	go func() {
 		exit <- run(
-			[]string{"-addr", "127.0.0.1:0", "-shards", "4",
+			[]string{"-addr", "127.0.0.1:0",
 				"-protocol", "resp", "-pprof", "127.0.0.1:0"},
 			&logs,
 			func(a net.Addr) { ready <- a },
@@ -180,6 +180,7 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		{[]string{"-protocol", "gopher"}, 1},
 		{[]string{"-nosuchflag"}, 2},
 		{[]string{"-batch=false"}, 2}, // batching is not optional
+		{[]string{"-shards", "4"}, 2}, // there is one dictionary, not a flag
 	}
 	for _, tc := range tests {
 		var logs syncBuffer

@@ -12,7 +12,7 @@ import (
 
 // startProfiler serves net/http/pprof on addr with mutex and block
 // profiling enabled, so contention on the serving hot path (logMu, the
-// accept loop, shard CAS retries) shows up in live profiles. An explicit
+// accept loop, dictionary CAS retries) shows up in live profiles. An explicit
 // mux keeps the daemon off http.DefaultServeMux, and the returned stop
 // closes the listener and restores the global profile rates.
 func startProfiler(addr string, logw io.Writer) (stop func(), err error) {

@@ -3,7 +3,7 @@
 // port with the lock-free hash dictionary (§4.1) behind it, then drives
 // it through internal/client the way an external valoisd deployment would
 // be: readers issue GETs while writers insert and expire entries, every
-// connection multiplexing onto the same lock-free shards, and the run
+// connection multiplexing onto the same lock-free hash table, and the run
 // reports per-role throughput. The two memory modes are contrasted: GC
 // (Go's collector reclaims cells) and RC (the paper's §5 reference
 // counts reclaim them exactly — the final STATS line shows the exact
@@ -51,7 +51,6 @@ func run(mode string) error {
 	srv, err := server.New(server.Config{
 		Backend: server.BackendHash,
 		Mode:    mode,
-		Shards:  8,
 	})
 	if err != nil {
 		return err

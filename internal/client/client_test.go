@@ -15,7 +15,7 @@ import (
 
 func startServer(t *testing.T) string {
 	t.Helper()
-	srv, err := server.New(server.Config{Backend: server.BackendSkipList, Shards: 4})
+	srv, err := server.New(server.Config{Backend: server.BackendSkipList})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -137,7 +137,7 @@ func TestRetryReconnect(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
-	srv, err := server.New(server.Config{Backend: server.BackendSkipList, Shards: 1})
+	srv, err := server.New(server.Config{Backend: server.BackendSkipList})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

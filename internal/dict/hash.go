@@ -95,7 +95,7 @@ func (h *Hash[K, V]) Bucket(i int) *SortedList[K, V] {
 // NumBuckets reports the fixed bucket count. Together with Bucket it
 // lets callers iterate the whole table bucket by bucket — each bucket is
 // a sorted list whose cursor scan is lock-free, which is how the
-// durability layer snapshots hash-backed shards (keys arrive grouped by
+// durability layer snapshots a hash-backed server (keys arrive grouped by
 // bucket, not globally sorted).
 func (h *Hash[K, V]) NumBuckets() int { return len(h.buckets) }
 

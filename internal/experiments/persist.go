@@ -4,7 +4,7 @@ package experiments
 // closed-loop SET/GET workload against an in-process valoisd server
 // under the three AOF fsync policies, plus the AOF disabled as the
 // baseline. The interesting number is the gap: appends happen after the
-// lock-free apply under a per-shard mutex, so "aof=off" vs
+// lock-free apply under a per-key-stripe mutex, so "aof=off" vs
 // "fsync=everysec" prices the append itself and "fsync=always" prices
 // the synchronous disk barrier per acknowledged mutation.
 
@@ -50,12 +50,12 @@ func Persist(opts Options) Table {
 		t.Rows = append(t.Rows, row)
 	}
 	t.Notes = append(t.Notes,
-		"skiplist/gc, 4 shards, 4 closed-loop clients, 50/50 SET/GET over 256 keys; latencies are SET round trips")
+		"skiplist/gc, 4 closed-loop clients, 50/50 SET/GET over 256 keys; latencies are SET round trips")
 	return t
 }
 
 func persistArm(name string, aof bool, fsync string, opts Options) ([]string, error) {
-	cfg := server.Config{Backend: server.BackendSkipList, Mode: "gc", Shards: 4}
+	cfg := server.Config{Backend: server.BackendSkipList, Mode: "gc"}
 	if aof {
 		dir, err := os.MkdirTemp("", "lfbench-persist")
 		if err != nil {

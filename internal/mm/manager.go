@@ -73,14 +73,14 @@ type Stats struct {
 
 	// Epoch and Limbo are gauges of the EBR manager (zero elsewhere):
 	// the current global epoch and the number of retired cells awaiting
-	// their grace period. Aggregating per-shard managers sums them, so
-	// treat the totals as activity indicators, not instantaneous state.
+	// their grace period. Add sums them, so treat totals over several
+	// managers as activity indicators, not instantaneous state.
 	Epoch int64
 	Limbo int64
 }
 
 // Add accumulates o's counters into s (Stripes sums too, so aggregating
-// per-shard managers reports the total stripe count).
+// several managers reports the total stripe count).
 func (s *Stats) Add(o Stats) {
 	s.Allocs += o.Allocs
 	s.Reclaims += o.Reclaims

@@ -214,8 +214,7 @@ func TestRCStripedStress(t *testing.T) {
 	}
 }
 
-// TestStatsAdd checks the Stats aggregation helper used by the hash
-// dictionary and the server's per-shard rollup.
+// TestStatsAdd checks the Stats aggregation helper.
 func TestStatsAdd(t *testing.T) {
 	a := Stats{Allocs: 1, Reclaims: 2, Created: 3, Pops: 4, Pushes: 5, Grows: 6, Steals: 7, Stripes: 2}
 	b := Stats{Allocs: 10, Reclaims: 20, Created: 30, Pops: 40, Pushes: 50, Grows: 60, Steals: 70, Stripes: 1}

@@ -95,7 +95,7 @@ func (r RecoveryInfo) Replayed() int { return r.SnapshotRecords + r.TailRecords 
 // receiving framed command records, plus snapshot compaction. Append is
 // safe for concurrent use; the caller provides any ordering it needs
 // between applying a mutation and appending it (valoisd holds a
-// per-shard mutex across apply+append so replay order matches apply
+// per-key-stripe mutex across apply+append so replay order matches apply
 // order per key).
 type Log struct {
 	dir    string

@@ -14,7 +14,7 @@ import (
 )
 
 // memState replays a log into a plain map, standing in for the server's
-// shards.
+// dictionary.
 type memState map[string]string
 
 func (m memState) apply(c proto.Command) error {

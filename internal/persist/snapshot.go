@@ -37,7 +37,7 @@ type SnapshotWriter struct {
 // The consistency contract the caller must honor: every entry passed to
 // Add must come from a scan that STARTED AFTER StartSnapshot returned.
 // Mutations appended to sealed segments were applied before the seal
-// (valoisd appends after applying, under a per-shard mutex), so such a
+// (valoisd appends after applying, under a per-key-stripe mutex), so such a
 // scan observes their effects; mutations that race with the scan live in
 // the new segment and are replayed over the snapshot — replay of SET and
 // DELETE is idempotent, so either interleaving recovers the same state.

@@ -50,16 +50,15 @@ func (s *Server) execEntries(entries []batchEntry) {
 	}
 }
 
-// execKeyed executes one keyed command against its shard. A mutation
-// with persistence on holds the shard's logMu across its apply and its
-// append — the ordering contract of persist.go — and no longer; the
-// unlock is deferred so a panicking backend (see TestPanicIsolation)
-// cannot leak the lock.
+// execKeyed executes one keyed command. A mutation with persistence on
+// holds its key's logMu stripe across its apply and its append — the
+// ordering contract of persist.go — and no longer; the unlock is deferred
+// so a panicking backend (see TestPanicIsolation) cannot leak the lock.
 func (s *Server) execKeyed(e *batchEntry) {
-	sh := s.shardFor(e.cmd.Key)
 	if s.log != nil && e.cmd.Verb != proto.VerbGet {
-		sh.logMu.Lock()
-		defer sh.logMu.Unlock()
+		mu := &s.logMu[logStripe(e.cmd.Key)]
+		mu.Lock()
+		defer mu.Unlock()
 	}
 	if s.panicHook != nil {
 		s.panicHook(e.cmd)
@@ -67,7 +66,7 @@ func (s *Server) execKeyed(e *batchEntry) {
 	switch e.cmd.Verb {
 	case proto.VerbGet:
 		s.cmdGet.Add(1)
-		if v, ok := sh.d.Find(e.cmd.Key); ok {
+		if v, ok := s.store.d.Find(e.cmd.Key); ok {
 			s.getHits.Add(1)
 			e.val, e.found = v, true
 		} else {
@@ -76,7 +75,7 @@ func (s *Server) execKeyed(e *batchEntry) {
 
 	case proto.VerbSet:
 		s.cmdSet.Add(1)
-		sh.set(e.cmd.Key, e.cmd.Value)
+		s.store.set(e.cmd.Key, e.cmd.Value)
 		if s.log != nil {
 			if err := s.log.Append(e.cmd); err != nil {
 				s.persistErrs.Add(1)
@@ -87,7 +86,7 @@ func (s *Server) execKeyed(e *batchEntry) {
 
 	case proto.VerbDelete:
 		s.cmdDelete.Add(1)
-		deleted := sh.d.Delete(e.cmd.Key)
+		deleted := s.store.d.Delete(e.cmd.Key)
 		e.found = deleted
 		if deleted {
 			s.deleteHits.Add(1)
@@ -118,7 +117,7 @@ func (s *Server) execMisc(e *batchEntry) {
 			e.err = errRangeUnordered
 			return
 		}
-		e.rangeItems = s.rangeMerged(e.cmd.Key, e.cmd.Count)
+		e.rangeItems = s.rangeFrom(e.cmd.Key, e.cmd.Count)
 	case proto.VerbStats:
 		s.cmdStats.Add(1)
 		e.statItems = s.Stats()

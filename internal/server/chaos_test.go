@@ -54,7 +54,6 @@ func chaosServerConfig(backend, mode string) server.Config {
 	return server.Config{
 		Backend:      backend,
 		Mode:         mode,
-		Shards:       4,
 		IdleTimeout:  2 * time.Second,
 		ReadTimeout:  time.Second,
 		WriteTimeout: time.Second,

@@ -16,7 +16,7 @@ import (
 // burst (up to maxBatch × 1 MiB of values, 65 536-pair RANGE results).
 func TestBatchScratchDropsReferences(t *testing.T) {
 	const burstOps = 48
-	srv := newStore(t, BackendSkipList, "gc", 4)
+	srv := newTestServer(t, Config{Backend: BackendSkipList, Mode: "gc"})
 
 	// net.Pipe hands one Write to the reader whole (the burst is far
 	// below connBufSize), so the burst is one batch by construction.
@@ -74,7 +74,7 @@ func TestBatchScratchDropsReferences(t *testing.T) {
 // the write, so the connection goes on with a small buffer instead of
 // pinning its largest reply for as long as it then sits idle.
 func TestReplyBufferDroppedAfterBurst(t *testing.T) {
-	srv := newStore(t, BackendHash, "gc", 1)
+	srv := newTestServer(t, Config{Backend: BackendHash, Mode: "gc"})
 	client, server := net.Pipe()
 	c := &conn{srv: srv, nc: server}
 	srv.wg.Add(1)

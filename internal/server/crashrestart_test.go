@@ -195,7 +195,7 @@ func runCrashRestart(t *testing.T, bin, backend, mode string, seed int64, snapsh
 	base := goroutineBaseline()
 	dir := t.TempDir()
 	args := []string{
-		"-addr", "127.0.0.1:0", "-backend", backend, "-mode", mode, "-shards", "4",
+		"-addr", "127.0.0.1:0", "-backend", backend, "-mode", mode,
 		"-aof", "-data-dir", dir, "-fsync", "always",
 	}
 	if snapshots {

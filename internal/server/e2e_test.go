@@ -17,7 +17,7 @@ import (
 // final contents against a mutex-protected map oracle, for every backend
 // under both memory modes. Each goroutine owns a disjoint key range, so
 // per-key operation order is sequential and the oracle is exact; the
-// goroutines still collide inside the shared lock-free shards, which is
+// goroutines still collide inside the one lock-free dictionary, which is
 // the concurrency under test. Iteration counts respect the
 // VALOIS_STRESS_DIV divisor so the race-detector CI run stays fast.
 func TestE2EMixedWorkloadOracle(t *testing.T) {
@@ -33,7 +33,7 @@ func TestE2EMixedWorkloadOracle(t *testing.T) {
 	for _, b := range backends {
 		for _, mode := range []string{"gc", "rc", "ebr"} {
 			t.Run(b.name+"/"+mode, func(t *testing.T) {
-				runOracle(t, server.Config{Backend: b.name, Mode: mode, Shards: 4, Buckets: 32}, b.keys)
+				runOracle(t, server.Config{Backend: b.name, Mode: mode, Buckets: 32}, b.keys)
 			})
 		}
 	}

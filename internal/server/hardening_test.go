@@ -28,7 +28,6 @@ import (
 func TestSlowLorisCutByReadDeadline(t *testing.T) {
 	_, addr, stop := bootServer(t, server.Config{
 		Backend:     server.BackendSkipList,
-		Shards:      1,
 		IdleTimeout: 10 * time.Second, // never the cutter here
 		ReadTimeout: 300 * time.Millisecond,
 	})
@@ -93,7 +92,7 @@ func TestSlowLorisCutByReadDeadline(t *testing.T) {
 // the client's.
 func TestStallMidRequestCountsTimeout(t *testing.T) {
 	_, addr, stop := bootServer(t, server.Config{
-		Backend: server.BackendHash, Shards: 1, ReadTimeout: 200 * time.Millisecond,
+		Backend: server.BackendHash, ReadTimeout: 200 * time.Millisecond,
 	})
 	for i, partial := range []string{"SET k 10\r\nabc", "*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$10\r\nabc"} {
 		for _, closeWrite := range []bool{false, true} {
@@ -138,7 +137,6 @@ func TestStallMidRequestCountsTimeout(t *testing.T) {
 func TestIdleTimeoutCutsIdleConn(t *testing.T) {
 	_, addr, stop := bootServer(t, server.Config{
 		Backend:     server.BackendSkipList,
-		Shards:      1,
 		IdleTimeout: 200 * time.Millisecond,
 	})
 	base := goroutineBaseline()
@@ -174,7 +172,6 @@ func TestIdleTimeoutCutsIdleConn(t *testing.T) {
 func TestMaxConnsGate(t *testing.T) {
 	_, addr, stop := bootServer(t, server.Config{
 		Backend:  server.BackendSkipList,
-		Shards:   1,
 		MaxConns: 2,
 	})
 	base := goroutineBaseline()
@@ -244,10 +241,10 @@ func TestMaxConnsGate(t *testing.T) {
 // hook): the panicking connection gets SERVER_ERROR and closes, every
 // other connection keeps working, conn_panics counts it, and nothing
 // leaks — one poisoned request cannot take the server down. Persistence
-// is on and there is one shard, so the poisoned DELETE panics holding the
-// only logMu: the bystander's next mutation would hang on a leaked lock.
+// is on, so the poisoned DELETE panics holding its key's logMu stripe:
+// the bystander's next mutation of that key would hang on a leaked lock.
 func TestPanicIsolation(t *testing.T) {
-	srv, err := server.New(server.Config{Backend: server.BackendSkipList, Shards: 1, PersistDir: t.TempDir()})
+	srv, err := server.New(server.Config{Backend: server.BackendSkipList, PersistDir: t.TempDir()})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -286,6 +283,9 @@ func TestPanicIsolation(t *testing.T) {
 	// The bystander connection — and the server as a whole — survive.
 	if err := bystander.Set("x", []byte("2")); err != nil {
 		t.Fatalf("bystander Set after panic: %v", err)
+	}
+	if err := bystander.Set("boom", []byte("3")); err != nil {
+		t.Fatalf("bystander Set of the poisoned key after panic: %v", err)
 	}
 	if v, found, err := bystander.Get("x"); err != nil || !found || string(v) != "2" {
 		t.Fatalf("bystander Get after panic = %q,%v,%v", v, found, err)

@@ -15,19 +15,20 @@ import (
 // applied mutation to it.
 //
 // Ordering contract: the append happens AFTER the mutation is applied to
-// the shard, and both happen under that shard's logMu. The mutex is what
-// makes recovery linearizable — without it, two racing SETs of the same
-// key could apply in one order and land in the log in the other, and a
-// pre-crash GET that observed the first order would make the recovered
-// history unlinearizable. The mutex is per shard and taken only on the
-// mutation path, so GETs and RANGEs still run purely on the lock-free
-// structures, and mutations in different shards never serialize against
+// the dictionary, and both happen under the key's logMu stripe. The mutex
+// is what makes recovery linearizable — without it, two racing SETs of
+// the same key could apply in one order and land in the log in the other,
+// and a pre-crash GET that observed the first order would make the
+// recovered history unlinearizable. Only same-key mutations need the
+// order, so logMu is striped by key hash (logStripe) and taken only on
+// the mutation path: GETs and RANGEs still run purely on the lock-free
+// structure, and mutations of different stripes never serialize against
 // each other.
 //
 // The mutation path itself lives in batch.go (execKeyed): a batch runs
-// in request order and each mutation takes logMu for its own apply and
-// append only, so a deep pipeline to one shard never holds that shard's
-// other writers behind a whole batch, and the log keeps one connection's
+// in request order and each mutation takes its stripe for its own apply
+// and append only, so a deep pipeline never holds a stripe's other
+// writers behind a whole batch, and the log keeps one connection's
 // mutations in the order it sent them.
 //
 // If the append itself fails (disk full, log closed mid-shutdown), the
@@ -37,8 +38,8 @@ import (
 // sound — and the divergence is counted in persist_errors.
 
 // openPersist is called by New when cfg.PersistDir is set: it replays
-// existing state into the freshly created shards and leaves the log open
-// for appends.
+// existing state into the freshly created dictionary and leaves the log
+// open for appends.
 func (s *Server) openPersist() error {
 	policy, err := persist.ParsePolicy(s.cfg.FsyncPolicy)
 	if err != nil {
@@ -54,15 +55,15 @@ func (s *Server) openPersist() error {
 	return nil
 }
 
-// applyRecovered applies one replayed log record to the shards. It runs
-// during New, strictly before any connection exists, so it writes to the
-// dictionaries directly without logMu or re-appending.
+// applyRecovered applies one replayed log record. It runs during New,
+// strictly before any connection exists, so it writes to the dictionary
+// directly without logMu or re-appending.
 func (s *Server) applyRecovered(cmd proto.Command) error {
 	switch cmd.Verb {
 	case proto.VerbSet:
-		s.shardFor(cmd.Key).set(cmd.Key, cmd.Value)
+		s.store.set(cmd.Key, cmd.Value)
 	case proto.VerbDelete:
-		s.shardFor(cmd.Key).d.Delete(cmd.Key)
+		s.store.d.Delete(cmd.Key)
 	default:
 		return fmt.Errorf("server: log record with non-mutation verb %s", cmd.Verb)
 	}
@@ -70,9 +71,9 @@ func (s *Server) applyRecovered(cmd proto.Command) error {
 }
 
 // Snapshot runs one snapshot compaction cycle: rotate the AOF, then
-// stream every shard's live bindings into the snapshot file via the
-// backends' lock-free cursor scans (RangeFrom; the hash backend scans
-// bucket by bucket), and atomically install it. Writers are never
+// stream the live bindings into the snapshot file via the backend's
+// lock-free cursor scan (RangeFrom; the hash backend scans bucket by
+// bucket), and atomically install it. Writers are never
 // blocked — the scan starts after the rotation, which is exactly the
 // consistency contract persist.StartSnapshot documents.
 func (s *Server) Snapshot() error {
@@ -83,16 +84,14 @@ func (s *Server) Snapshot() error {
 	if err != nil {
 		return err
 	}
-	for _, sh := range s.shards {
-		var addErr error
-		sh.snap(func(k string, v []byte) bool {
-			addErr = sw.Add(k, v)
-			return addErr == nil
-		})
-		if addErr != nil {
-			sw.Abort()
-			return addErr
-		}
+	var addErr error
+	s.store.snap(func(k string, v []byte) bool {
+		addErr = sw.Add(k, v)
+		return addErr == nil
+	})
+	if addErr != nil {
+		sw.Abort()
+		return addErr
 	}
 	return sw.Commit()
 }

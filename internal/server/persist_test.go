@@ -77,7 +77,7 @@ func TestServerRecovery(t *testing.T) {
 			t.Run(backend+"/"+mode, func(t *testing.T) {
 				dir := t.TempDir()
 				cfg := server.Config{
-					Backend: backend, Mode: mode, Shards: 4, Buckets: 64,
+					Backend: backend, Mode: mode, Buckets: 64,
 					PersistDir: dir, FsyncPolicy: "no",
 				}
 				_, addr, stop := bootPersist(t, cfg)
@@ -176,7 +176,7 @@ func key(i int) string { return "rk:" + strconv.Itoa(i) }
 func TestServerSnapshotWhileServing(t *testing.T) {
 	const keys = 64
 	cfg := server.Config{
-		Backend: server.BackendSkipList, Mode: "gc", Shards: 4,
+		Backend: server.BackendSkipList, Mode: "gc",
 		PersistDir: t.TempDir(), FsyncPolicy: "no",
 	}
 	srv, addr, stop := bootPersist(t, cfg)
@@ -277,7 +277,7 @@ func TestServerSnapshotWhileServing(t *testing.T) {
 func TestServerSnapshotIntervalLoop(t *testing.T) {
 	base := goroutineBaseline()
 	cfg := server.Config{
-		Backend: server.BackendList, Mode: "rc", Shards: 2,
+		Backend: server.BackendList, Mode: "rc",
 		PersistDir: t.TempDir(), FsyncPolicy: "everysec",
 		SnapshotInterval: 10 * time.Millisecond,
 	}
@@ -314,7 +314,7 @@ func TestServerSnapshotIntervalLoop(t *testing.T) {
 // present (all zero) when persistence is off, so tooling can read them
 // unconditionally.
 func TestServerPersistStatsDisabled(t *testing.T) {
-	_, addr := startServer(t, server.Config{Backend: server.BackendSkipList, Shards: 2})
+	_, addr := startServer(t, server.Config{Backend: server.BackendSkipList})
 	c := dialTest(t, addr)
 	stats, err := c.Stats()
 	if err != nil {
@@ -327,7 +327,7 @@ func TestServerPersistStatsDisabled(t *testing.T) {
 	}
 }
 
-// TestBatchExecutesInRequestOrder pipelines one batch that mixes shards,
+// TestBatchExecutesInRequestOrder pipelines one batch that mixes keys,
 // verbs and RANGEs and checks it reads exactly like the same requests
 // sent one at a time: every reply reflects all earlier requests of the
 // batch and none of the later ones, and the AOF holds the batch's
@@ -335,7 +335,7 @@ func TestServerPersistStatsDisabled(t *testing.T) {
 func TestBatchExecutesInRequestOrder(t *testing.T) {
 	dir := t.TempDir()
 	_, addr, stop := bootPersist(t, server.Config{
-		Backend: server.BackendSkipList, Shards: 8, PersistDir: dir, FsyncPolicy: "no",
+		Backend: server.BackendSkipList, PersistDir: dir, FsyncPolicy: "no",
 	})
 	var req, wantReply strings.Builder
 	var wantLog []string
@@ -360,7 +360,7 @@ func TestBatchExecutesInRequestOrder(t *testing.T) {
 		}
 		wantReply.WriteString("END\r\n")
 	}
-	for i := 0; i < 12; i++ { // twelve keys over eight shards: shards repeat, apart
+	for i := 0; i < 12; i++ { // twelve keys: several logMu stripes, some repeated
 		set(fmt.Sprintf("k%02d", i), fmt.Sprintf("v%d", i))
 	}
 	read("GET k03", "k03", "v3")

@@ -71,7 +71,7 @@ func (c *respConn) expectPrefix(want string) {
 // socket against an auto-detecting server, pinning exact reply framing
 // for every verb and both error kinds.
 func TestRESPWireSession(t *testing.T) {
-	_, addr := startServer(t, server.Config{Backend: server.BackendSkipList, Shards: 4})
+	_, addr := startServer(t, server.Config{Backend: server.BackendSkipList})
 	c := dialRaw(t, addr)
 
 	// The first byte is '*', so auto-detection locks this connection to
@@ -143,13 +143,13 @@ func TestRESPWireSession(t *testing.T) {
 // and forced text answers a RESP array header with the text ERROR reply.
 func TestProtocolForced(t *testing.T) {
 	t.Run("resp", func(t *testing.T) {
-		_, addr := startServer(t, server.Config{Backend: server.BackendSkipList, Shards: 1, Protocol: proto.ProtocolRESP})
+		_, addr := startServer(t, server.Config{Backend: server.BackendSkipList, Protocol: proto.ProtocolRESP})
 		c := dialRaw(t, addr)
 		c.send("PING\r\n") // no '*' first byte; only the forced config gets here
 		c.expectLine("+PONG")
 	})
 	t.Run("text", func(t *testing.T) {
-		_, addr := startServer(t, server.Config{Backend: server.BackendSkipList, Shards: 1, Protocol: proto.ProtocolText})
+		_, addr := startServer(t, server.Config{Backend: server.BackendSkipList, Protocol: proto.ProtocolText})
 		c := dialRaw(t, addr)
 		c.send("*1\r\n$4\r\nPING\r\n")
 		c.expectLine("ERROR") // "*1" is no text verb
@@ -211,7 +211,7 @@ func TestBatchAndByteCounters(t *testing.T) {
 	}
 
 	t.Run("batched", func(t *testing.T) {
-		_, addr := startServer(t, server.Config{Backend: server.BackendSkipList, Shards: 4})
+		_, addr := startServer(t, server.Config{Backend: server.BackendSkipList})
 		c := dialRaw(t, addr)
 		bytesIn, bytesOut := 0, 0
 		// A burst written in one syscall lands whole on loopback nearly

@@ -1,10 +1,10 @@
 // Package server implements valoisd, a TCP key-value server whose entire
-// storage engine is the paper's §4 lock-free dictionary structures. Keys
-// are sharded by hash across N independent dictionary instances so that
-// the lock-free structures — not the accept loop or any server-side lock —
-// are where concurrent operations meet; each connection is served by its
-// own goroutine, exactly the paper's process-per-operation model with
-// goroutines standing in for processes.
+// storage engine is one of the paper's §4 lock-free dictionary structures.
+// Every connection operates on the same dictionary instance, so the
+// lock-free structure — not the accept loop, a partitioning layer or any
+// server-side lock — is where concurrent operations meet; each connection
+// is served by its own goroutine, exactly the paper's process-per-operation
+// model with goroutines standing in for processes.
 //
 // Two wire protocols from internal/proto are served, the memcached-style
 // text protocol and RESP, detected per connection (Config.Protocol).
@@ -52,17 +52,13 @@ func Backends() []string {
 
 // Config parameterizes a Server.
 type Config struct {
-	// Backend selects the §4 structure each shard instantiates:
+	// Backend selects the §4 structure the server stores its keys in:
 	// "list", "hash", "skiplist" (default), or "bst".
 	Backend string
 	// Mode selects cell reclamation: "gc" (default), "rc" (§5), or
 	// "ebr" (epoch-based reclamation over the §5 free list).
 	Mode string
-	// Shards is the number of independent dictionary instances keys are
-	// hashed across. Default 16.
-	Shards int
-	// Buckets is the bucket count per shard for the hash backend.
-	// Default 1024.
+	// Buckets is the hash backend's bucket count. Default 16384.
 	Buckets int
 
 	// IdleTimeout bounds how long a connection may sit between requests
@@ -126,32 +122,30 @@ type ordered interface {
 	RangeFrom(start string, f func(key string, value []byte) bool)
 }
 
-// shard is one independent dictionary instance.
-type shard struct {
+// store is the server's one dictionary instance.
+type store struct {
 	d     dict.Dictionary[string, []byte]
 	ord   ordered         // nil for the hash backend
 	mem   func() mm.Stats // §5 manager counters
 	size  func() int      // snapshot item count
 	close func()          // release cells (required under RC)
 
-	// snap streams the shard's live bindings through emit (stopping when
-	// emit returns false) via the backend's lock-free cursor scan; the
-	// hash backend iterates bucket by bucket.
+	// snap streams the live bindings through emit (stopping when emit
+	// returns false) via the backend's lock-free cursor scan; the hash
+	// backend iterates bucket by bucket.
 	snap func(emit func(key string, value []byte) bool)
-
-	// logMu serializes apply+append on the mutation path when
-	// persistence is enabled, so the log's record order matches the
-	// linearization order of same-shard mutations (see persist.go).
-	logMu sync.Mutex
 }
+
+// logStripes is the number of ordering locks (see Server.logMu).
+const logStripes = 16
 
 // Server is a valoisd instance. Create with New, start with Serve or
 // ListenAndServe, stop with Shutdown.
 type Server struct {
-	cfg    Config
-	mode   mm.Mode
-	shards []*shard
-	start  time.Time
+	cfg   Config
+	mode  mm.Mode
+	store store
+	start time.Time
 
 	mu      sync.Mutex
 	ln      net.Listener
@@ -160,11 +154,17 @@ type Server struct {
 
 	wg sync.WaitGroup // live connection handlers
 
-	closeShards sync.Once
+	closeStore sync.Once
 
 	// Durability state (see persist.go); log is nil when PersistDir is
 	// empty and every field below then stays at its zero value.
-	log          *persist.Log
+	log *persist.Log
+	// logMu serializes apply+append on the mutation path when
+	// persistence is enabled, so the log's record order matches the
+	// linearization order of same-key mutations (see persist.go). A key
+	// always takes the stripe logStripe picks, so mutations of different
+	// stripes never wait for each other.
+	logMu        [logStripes]sync.Mutex
 	recovery     persist.RecoveryInfo
 	replayed     atomic.Int64
 	persistErrs  atomic.Int64
@@ -201,7 +201,7 @@ type Server struct {
 	bytesOut   atomic.Int64 // bytes written to client sockets
 }
 
-// New returns a configured server with its shards allocated.
+// New returns a configured server with its dictionary allocated.
 func New(cfg Config) (*Server, error) {
 	if cfg.Backend == "" {
 		cfg.Backend = BackendSkipList
@@ -209,11 +209,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Mode == "" {
 		cfg.Mode = "gc"
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 16
-	}
 	if cfg.Buckets <= 0 {
-		cfg.Buckets = 1024
+		cfg.Buckets = 16384
 	}
 	if cfg.IdleTimeout == 0 {
 		cfg.IdleTimeout = DefaultIdleTimeout
@@ -238,50 +235,43 @@ func New(cfg Config) (*Server, error) {
 	if !ok {
 		return nil, fmt.Errorf("server: unknown memory mode %q (want gc, rc, or ebr)", cfg.Mode)
 	}
+	st, err := newStore(cfg, mode)
+	if err != nil {
+		return nil, err
+	}
 	s := &Server{
 		cfg:      cfg,
 		mode:     mode,
-		shards:   make([]*shard, cfg.Shards),
+		store:    st,
 		start:    time.Now(),
 		conns:    make(map[*conn]struct{}),
 		snapStop: make(chan struct{}),
 	}
-	for i := range s.shards {
-		sh, err := newShard(cfg, mode)
-		if err != nil {
-			return nil, err
-		}
-		s.shards[i] = sh
-	}
 	if cfg.PersistDir != "" {
 		if err := s.openPersist(); err != nil {
-			s.closeShards.Do(func() {
-				for _, sh := range s.shards {
-					sh.close()
-				}
-			})
+			s.store.close()
 			return nil, err
 		}
 	}
 	return s, nil
 }
 
-func newShard(cfg Config, mode mm.Mode) (*shard, error) {
+func newStore(cfg Config, mode mm.Mode) (store, error) {
 	switch cfg.Backend {
 	case BackendList:
 		d := dict.NewSortedList[string, []byte](mode)
-		return &shard{d: d, ord: d, snap: snapOrdered(d), mem: d.MemStats, size: d.Len, close: d.Close}, nil
+		return store{d: d, ord: d, snap: snapOrdered(d), mem: d.MemStats, size: d.Len, close: d.Close}, nil
 	case BackendHash:
 		d := dict.NewHash[string, []byte](cfg.Buckets, mode, dict.HashString)
-		return &shard{d: d, snap: snapHash(d), mem: d.MemStats, size: d.Len, close: d.Close}, nil
+		return store{d: d, snap: snapHash(d), mem: d.MemStats, size: d.Len, close: d.Close}, nil
 	case BackendSkipList:
 		d := skiplist.New[string, []byte](mode)
-		return &shard{d: d, ord: d, snap: snapOrdered(d), mem: d.MemStats, size: d.Len, close: d.Close}, nil
+		return store{d: d, ord: d, snap: snapOrdered(d), mem: d.MemStats, size: d.Len, close: d.Close}, nil
 	case BackendBST:
 		d := bst.New[string, []byte](mode)
-		return &shard{d: d, ord: d, snap: snapOrdered(d), mem: d.MemStats, size: d.Len, close: d.Close}, nil
+		return store{d: d, ord: d, snap: snapOrdered(d), mem: d.MemStats, size: d.Len, close: d.Close}, nil
 	default:
-		return nil, fmt.Errorf("server: unknown backend %q (want one of %v)", cfg.Backend, Backends())
+		return store{}, fmt.Errorf("server: unknown backend %q (want one of %v)", cfg.Backend, Backends())
 	}
 }
 
@@ -313,20 +303,15 @@ func snapHash(h *dict.Hash[string, []byte]) func(func(string, []byte) bool) {
 }
 
 // Ordered reports whether the configured backend supports RANGE.
-func (s *Server) Ordered() bool { return s.shards[0].ord != nil }
+func (s *Server) Ordered() bool { return s.store.ord != nil }
 
 // Recovery reports what New recovered from PersistDir (zero value when
 // persistence is disabled or the directory was empty).
 func (s *Server) Recovery() persist.RecoveryInfo { return s.recovery }
 
-// shardIndex hashes a key to its shard's index.
-func (s *Server) shardIndex(key string) int {
-	return int(dict.HashString(key) % uint64(len(s.shards)))
-}
-
-// shardFor hashes a key to its shard.
-func (s *Server) shardFor(key string) *shard {
-	return s.shards[s.shardIndex(key)]
+// logStripe picks the key's ordering lock: same key, same stripe.
+func logStripe(key string) int {
+	return int(dict.HashString(key) % logStripes)
 }
 
 // set is an upsert: the paper's Insert (Figure 12) refuses duplicate keys
@@ -336,13 +321,13 @@ func (s *Server) shardFor(key string) *shard {
 // key is under perpetual contention from other writers. Retries back off
 // exponentially (§2.1): when several connections SET the same hot key,
 // immediate retries just feed each other's delete-then-insert windows.
-func (sh *shard) set(key string, value []byte) {
+func (st *store) set(key string, value []byte) {
 	var backoff primitive.Backoff
 	for {
-		if sh.d.Insert(key, value) {
+		if st.d.Insert(key, value) {
 			return
 		}
-		sh.d.Delete(key)
+		st.d.Delete(key)
 		backoff.Wait()
 	}
 }
@@ -461,8 +446,8 @@ func (s *Server) removeConn(c *conn) {
 // connection finish the request it is currently executing, closes idle
 // connections immediately, and waits for all handlers to drain. If ctx
 // expires first, remaining connections are closed forcibly and ctx's error
-// is returned. After the handlers drain the shards are closed, returning
-// their cells to the §5 managers (observable as mm_reclaims under RC).
+// is returned. After the handlers drain the dictionary is closed, returning
+// its cells to the §5 manager (observable as mm_reclaims under RC).
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.closing = true
@@ -495,10 +480,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// Stop the snapshot loop, then close the log — Close flushes and
 	// fsyncs, so a graceful shutdown loses nothing even under fsync=no.
 	s.stopSnapshots()
-	s.closeShards.Do(func() {
-		for _, sh := range s.shards {
-			sh.close()
-		}
+	s.closeStore.Do(func() {
+		s.store.close()
 		if s.log != nil {
 			if cerr := s.log.Close(); cerr != nil && err == nil {
 				err = cerr
@@ -515,27 +498,18 @@ type Stat struct {
 }
 
 // Stats returns the server's statistics snapshot: identity, connection and
-// per-verb counters, per-shard item counts, and the summed §5 memory
-// manager counters.
+// per-verb counters, the item count, and the §5 memory manager's counters.
 func (s *Server) Stats() []Stat {
 	s.mu.Lock()
 	currConns := len(s.conns)
 	s.mu.Unlock()
 
-	items := 0
-	perShard := make([]int, len(s.shards))
-	var mem mm.Stats
-	for i, sh := range s.shards {
-		perShard[i] = sh.size()
-		items += perShard[i]
-		mem.Add(sh.mem())
-	}
+	mem := s.store.mem()
 
 	n := func(v int64) string { return fmt.Sprintf("%d", v) }
 	stats := []Stat{
 		{"backend", s.cfg.Backend},
 		{"mode", s.cfg.Mode},
-		{"shards", n(int64(len(s.shards)))},
 		{"uptime_seconds", n(int64(time.Since(s.start).Seconds()))},
 		{"curr_connections", n(int64(currConns))},
 		{"total_connections", n(s.totalConns.Load())},
@@ -562,7 +536,7 @@ func (s *Server) Stats() []Stat {
 		{"conn_resets", n(s.connResets.Load())},
 		{"conn_rejected", n(s.connRejected.Load())},
 		{"conn_panics", n(s.connPanics.Load())},
-		{"curr_items", n(int64(items))},
+		{"curr_items", n(int64(s.store.size()))},
 		{"mm_allocs", n(mem.Allocs)},
 		{"mm_reclaims", n(mem.Reclaims)},
 		{"mm_live", n(mem.Live())},
@@ -570,89 +544,33 @@ func (s *Server) Stats() []Stat {
 		// Free-list behavior (all zero under mode=gc, which has no free
 		// list): pops/pushes are the Fig 17/18 traffic, grows the arena
 		// growth events, steals the cross-stripe pops, and stripes the
-		// total stripe count across shards.
+		// manager's free-list stripe count.
 		{"mm_pops", n(mem.Pops)},
 		{"mm_pushes", n(mem.Pushes)},
 		{"mm_grows", n(mem.Grows)},
 		{"mm_steals", n(mem.Steals)},
 		{"mm_stripes", n(int64(mem.Stripes))},
 		// Epoch-based reclamation gauges (zero under gc and rc): the
-		// current epoch and the limbo population, summed across shards —
-		// activity indicators, not exact globals.
+		// manager's current epoch and its limbo population.
 		{"mm_epoch", n(mem.Epoch)},
 		{"mm_limbo", n(mem.Limbo)},
 	}
-	stats = append(stats, s.persistStats()...)
-	for i, c := range perShard {
-		stats = append(stats, Stat{fmt.Sprintf("shard%d_items", i), n(int64(c))})
-	}
-	return stats
+	return append(stats, s.persistStats()...)
 }
 
-// rangeMerged returns the count smallest items with key ≥ start across all
-// shards, in key order; count ≥ 1 (proto rejects anything else). Each
-// shard is independently sorted and a key lives in exactly one shard, so
-// the scan carries one max-heap of at most count candidates across the
-// shards: once it is full, an item enters only by evicting the largest
-// candidate, and a shard's scan stops at its first key that cannot — every
-// later key of that shard is larger still. On hash-spread keys that
-// visits about count·H(shards) items, not count·shards, each for
-// O(log count); the heap grows with the items found, never from the
-// client's count. (The heap is hand-rolled because container/heap would
-// box every kv it is handed.)
-func (s *Server) rangeMerged(start string, count int) []kv {
-	var h []kv // max-heap on key
-	visit := func(k string, v []byte) bool {
-		switch {
-		case len(h) < count:
-			h = append(h, kv{k, v})
-			siftUp(h, len(h)-1)
-		case k >= h[0].key:
-			return false
-		default:
-			h[0] = kv{k, v}
-			siftDown(h, 0)
-		}
-		return true
-	}
-	for _, sh := range s.shards {
-		sh.ord.RangeFrom(start, visit)
-	}
-	// Heapsort the survivors in place: move the maximum behind the
-	// shrinking heap until the slice is ascending.
-	for n := len(h) - 1; n > 0; n-- {
-		h[0], h[n] = h[n], h[0]
-		siftDown(h[:n], 0)
-	}
-	return h
-}
-
-func siftUp(h []kv, i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h[parent].key >= h[i].key {
-			return
-		}
-		h[parent], h[i] = h[i], h[parent]
-		i = parent
-	}
-}
-
-func siftDown(h []kv, i int) {
-	for {
-		big := 2*i + 1
-		if big >= len(h) {
-			return
-		}
-		if r := big + 1; r < len(h) && h[r].key > h[big].key {
-			big = r
-		}
-		if h[i].key >= h[big].key {
-			return
-		}
-		h[i], h[big] = h[big], h[i]
-		i = big
-	}
+// rangeFrom returns the first count items with key ≥ start, in key order;
+// count ≥ 1 (proto rejects anything else). It is the backend's own cursor
+// scan, stopped once count items are held: one descent to start, then one
+// level-0 hop per item returned plus whatever concurrently deleted cells
+// the backend's monotonicity filter skips. The reply grows with the items
+// found, never from the client's count.
+func (s *Server) rangeFrom(start string, count int) []kv {
+	var items []kv
+	s.store.ord.RangeFrom(start, func(k string, v []byte) bool {
+		items = append(items, kv{k, v})
+		return len(items) < count
+	})
+	return items
 }
 
 type kv struct {

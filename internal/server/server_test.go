@@ -73,7 +73,7 @@ func TestServerBasicOps(t *testing.T) {
 		for _, mode := range []string{"gc", "rc", "ebr"} {
 			for _, protocol := range []string{proto.ProtocolText, proto.ProtocolRESP} {
 				t.Run(backend+"/"+mode+"/"+protocol, func(t *testing.T) {
-					_, addr := startServer(t, server.Config{Backend: backend, Mode: mode, Shards: 4, Buckets: 64})
+					_, addr := startServer(t, server.Config{Backend: backend, Mode: mode, Buckets: 64})
 					c := dialTestProto(t, addr, protocol)
 
 					if _, found, err := c.Get("missing"); err != nil || found {
@@ -114,7 +114,7 @@ func TestServerBasicOps(t *testing.T) {
 }
 
 func TestServerRange(t *testing.T) {
-	srv, addr := startServer(t, server.Config{Backend: server.BackendSkipList, Shards: 4})
+	srv, addr := startServer(t, server.Config{Backend: server.BackendSkipList})
 	c := dialTest(t, addr)
 	if !srv.Ordered() {
 		t.Fatal("skiplist backend should be ordered")
@@ -125,7 +125,6 @@ func TestServerRange(t *testing.T) {
 			t.Fatalf("Set: %v", err)
 		}
 	}
-	// The merge across shards must re-establish global key order.
 	entries, err := c.Range("key:010", 20)
 	if err != nil {
 		t.Fatalf("Range: %v", err)
@@ -147,7 +146,7 @@ func TestServerRange(t *testing.T) {
 }
 
 func TestServerRangeUnorderedBackend(t *testing.T) {
-	_, addr := startServer(t, server.Config{Backend: server.BackendHash, Shards: 2, Buckets: 16})
+	_, addr := startServer(t, server.Config{Backend: server.BackendHash, Buckets: 16})
 	c := dialTest(t, addr)
 	_, err := c.Range("a", 10)
 	var re *proto.ReplyError
@@ -167,7 +166,7 @@ func TestServerStats(t *testing.T) {
 }
 
 func testServerStats(t *testing.T, protocol string) {
-	_, addr := startServer(t, server.Config{Backend: server.BackendList, Mode: "rc", Shards: 2})
+	_, addr := startServer(t, server.Config{Backend: server.BackendList, Mode: "rc"})
 	c := dialTestProto(t, addr, protocol)
 	for i := 0; i < 10; i++ {
 		if err := c.Set(fmt.Sprintf("k%d", i), []byte("v")); err != nil {
@@ -185,7 +184,6 @@ func testServerStats(t *testing.T, protocol string) {
 	want := map[string]string{
 		"backend":          "list",
 		"mode":             "rc",
-		"shards":           "2",
 		"curr_items":       "9",
 		"cmd_set":          "10",
 		"get_hits":         "1",
@@ -205,15 +203,11 @@ func testServerStats(t *testing.T, protocol string) {
 	if stats["mm_reclaims"] == "0" || stats["mm_reclaims"] == "" {
 		t.Errorf("mm_reclaims = %q under rc after a delete, want > 0", stats["mm_reclaims"])
 	}
-	// Per-shard items sum to curr_items.
-	sum := 0
-	for i := 0; i < 2; i++ {
-		var n int
-		fmt.Sscanf(stats[fmt.Sprintf("shard%d_items", i)], "%d", &n)
-		sum += n
-	}
-	if sum != 9 {
-		t.Errorf("shardN_items sum = %d, want 9", sum)
+	// One dictionary: no shard count, no per-shard item lines.
+	for name := range stats {
+		if strings.HasPrefix(name, "shard") {
+			t.Errorf("stats[%q] = %q: the shard lines should be gone", name, stats[name])
+		}
 	}
 }
 
@@ -223,7 +217,7 @@ func testServerStats(t *testing.T, protocol string) {
 // not have leaked connection goroutines.
 func TestServerMalformedInput(t *testing.T) {
 	baseline := goroutineBaseline()
-	_, addr := startServer(t, server.Config{Backend: server.BackendSkipList, Shards: 1})
+	_, addr := startServer(t, server.Config{Backend: server.BackendSkipList})
 
 	send := func(payload string) (replies []string) {
 		nc, err := net.Dial("tcp", addr)
@@ -299,7 +293,7 @@ func TestServerMalformedInput(t *testing.T) {
 // in-flight request is answered or the connection is cleanly closed, and
 // Shutdown returns without forcing the context.
 func TestServerGracefulShutdown(t *testing.T) {
-	srv, err := server.New(server.Config{Backend: server.BackendSkipList, Shards: 4})
+	srv, err := server.New(server.Config{Backend: server.BackendSkipList})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -28,7 +28,7 @@ func TestWireLinearizable(t *testing.T) {
 }
 
 func runWireLinearizable(t *testing.T, backend, mode string, seed int64) {
-	_, addr := startServer(t, server.Config{Backend: backend, Mode: mode, Shards: 4})
+	_, addr := startServer(t, server.Config{Backend: backend, Mode: mode})
 
 	const keys = 16
 	h := newWireHist(keys)
