@@ -130,24 +130,23 @@ func checkList(s *dict.SortedList[int, int], mode mm.Mode, cfg workload.Config, 
 	}
 	switch mode {
 	case mm.ModeRC:
-		rc := s.List().Manager().(*mm.RC[dict.Entry[int, int]])
 		n := int64(len(items))
-		if live, want := rc.Stats().Live(), 3+2*n; live != want {
+		if live, want := s.MemStats().Live(), 3+2*n; live != want {
 			return fmt.Errorf("live cells = %d, want %d", live, want)
 		}
 		s.Close()
-		if live := rc.Stats().Live(); live != 0 {
+		if live := s.MemStats().Live(); live != 0 {
 			return fmt.Errorf("%d cells leaked after Close", live)
 		}
 		fmt.Println("rc reclamation exact: 0 cells leaked")
 	case mm.ModeEBR:
 		// Reclamation is deferred: drain the limbo lists before counting.
-		ebr := s.List().Manager().(*mm.EBR[dict.Entry[int, int]])
+		ebr := s.List().Manager().(mm.Quiescer)
 		s.Close()
 		if !ebr.Quiesce() {
 			return fmt.Errorf("ebr limbo did not drain: %d cells in limbo", ebr.LimboLen())
 		}
-		if live := ebr.Stats().Live(); live != 0 {
+		if live := s.MemStats().Live(); live != 0 {
 			return fmt.Errorf("%d cells leaked after Close+Quiesce", live)
 		}
 		fmt.Println("ebr reclamation complete: 0 cells leaked")

@@ -19,6 +19,9 @@ type Dictionary[K cmp.Ordered, V any] interface {
 	// inserted. Inserting an existing key returns false and does not
 	// replace the value (Figure 12).
 	Insert(key K, value V) bool
+	// Upsert binds key to value whether or not the key is present,
+	// replacing the value of a present key with one Compare&Swap.
+	Upsert(key K, value V)
 	// Delete removes the item with the key, reporting whether an item
 	// was removed (Figure 13).
 	Delete(key K) bool

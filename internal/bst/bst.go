@@ -6,14 +6,16 @@ import (
 
 	"valois/internal/dict"
 	"valois/internal/mm"
+	"valois/internal/primitive"
 )
 
-// item is a tree cell's payload: the key, the value, and the cell's two
-// auxiliary nodes. Left and Right are immutable once the cell is
-// published; the mutable state is those auxiliary nodes' next pointers.
+// item is a tree cell's payload: the key, the value's Box, and the cell's
+// two auxiliary nodes. Key, Left and Right are immutable once the cell is
+// published; the mutable state is the box and those auxiliary nodes' next
+// pointers, so a published item is read through its cell, never copied.
 type item[K cmp.Ordered, V any] struct {
 	Key   K
-	Value V
+	val   dict.Box[V]
 	Left  *mm.Node[item[K, V]]
 	Right *mm.Node[item[K, V]]
 }
@@ -110,7 +112,7 @@ func (w TreeWorkStats) ExtraWork() int64 {
 // mm.ModeGC.
 func New[K cmp.Ordered, V any](mode mm.Mode, opts ...mm.RCOption) *Tree[K, V] {
 	manager := mm.NewManager[item[K, V]](mode, opts...)
-	mm.SetReclaimExtractor(manager, func(it item[K, V]) (*mm.Node[item[K, V]], *mm.Node[item[K, V]]) {
+	mm.SetReclaimExtractor(manager, func(it *item[K, V]) (*mm.Node[item[K, V]], *mm.Node[item[K, V]]) {
 		return it.Left, it.Right
 	})
 	t := &Tree[K, V]{manager: manager}
@@ -240,7 +242,8 @@ func (t *Tree[K, V]) locate(k K) (cell, aux *mm.Node[item[K, V]]) {
 	}
 }
 
-// Find reports the value stored under key.
+// Find reports the value stored under key. A hit linearizes at the box
+// load: a live box means the cell has not been claimed for unlinking.
 func (t *Tree[K, V]) Find(key K) (V, bool) {
 	g, pinned := t.pin()
 	defer t.unpin(g, pinned)
@@ -250,48 +253,57 @@ func (t *Tree[K, V]) Find(key K) (V, bool) {
 		var zero V
 		return zero, false
 	}
-	v := n.Item.Value
+	v, ok := n.Item.val.Load()
 	t.drop(n)
-	return v, true
+	return v, ok
 }
 
 // Insert adds the item if the key is not present, reporting whether it
 // inserted. Insertion happens only at the leaves: one Compare&Swap of an
 // empty edge to the new cell (§4.2).
-func (t *Tree[K, V]) Insert(key K, value V) bool {
-	m := t.manager
-	cell := m.Alloc()
-	if cell == nil {
-		return false
-	}
-	left := m.Alloc()
-	right := m.Alloc()
-	if left == nil || right == nil {
-		m.Release(cell)
-		m.Release(left)
-		m.Release(right)
-		return false
-	}
-	cell.SetKind(mm.KindCell)
-	left.SetKind(mm.KindAux)
-	right.SetKind(mm.KindAux)
-	left.StoreNext(t.empty)
-	m.AddRef(t.empty) // refs: edge left→empty
-	right.StoreNext(t.empty)
-	m.AddRef(t.empty) // refs: edge right→empty
-	// The allocation references of left and right become the references
-	// held by the cell's Item (released by the reclaim extractor).
-	cell.Item = item[K, V]{Key: key, Value: value, Left: left, Right: right}
+func (t *Tree[K, V]) Insert(key K, value V) bool { return t.put(key, value, false) }
 
+// Upsert binds key to value: one Compare&Swap on the box of the key's
+// live cell, or Insert's leaf insertion when there is none.
+func (t *Tree[K, V]) Upsert(key K, value V) { t.put(key, value, true) }
+
+// put locates the key and decides the present-key case by replace, as
+// dict.SortedList's put does. A tombstoned cell on the search path is an
+// absent key whose unlink has not finished: put finishes it (claiming the
+// cell itself if its Delete has not yet) and searches again, so a new
+// cell never joins the tree beside the old one. Finishing takes the
+// claimer itself when the cell has two children (the subtree move is
+// claimer-only, see run), so put backs off (§2.1) while it waits. The new
+// cell is built only once the key is known absent.
+func (t *Tree[K, V]) put(key K, value V, replace bool) bool {
+	m := t.manager
 	g, pinned := t.pin()
 	defer t.unpin(g, pinned)
+	var cell *mm.Node[item[K, V]]
+	var backoff primitive.Backoff
 	for {
 		n, a := t.locate(key)
 		if n != nil {
+			t.maybeYield()
+			box := &n.Item.val
+			done := replace && box.Replace(value) || !replace && box.Live()
+			if !done {
+				t.unlink(n, a) // tombstoned: finish its deletion
+			}
 			t.drop(n)
 			t.drop(a)
-			m.Release(cell) // reclaims the cell, its auxiliaries, and their edges
-			return false
+			if done {
+				m.Release(cell) // reclaims an unpublished cell, its auxiliaries, and their edges
+				return replace
+			}
+			backoff.Wait()
+			continue
+		}
+		if cell == nil {
+			if cell = t.newCell(key, value); cell == nil {
+				t.drop(a)
+				return false
+			}
 		}
 		if t.casEdge(a, t.empty, cell) {
 			t.drop(a)
@@ -303,27 +315,68 @@ func (t *Tree[K, V]) Insert(key K, value V) bool {
 	}
 }
 
-// Delete removes the item with the given key, reporting whether this call
-// removed it. If another process is already deleting the cell, Delete
-// helps it finish and reports false.
-func (t *Tree[K, V]) Delete(key K) bool {
+// newCell builds an unpublished cell for the item, with its two
+// auxiliary nodes pointing at the empty sentinel, or returns nil when a
+// capacity-bounded manager has no cells left.
+func (t *Tree[K, V]) newCell(key K, value V) *mm.Node[item[K, V]] {
 	m := t.manager
+	cell := m.Alloc()
+	if cell == nil {
+		return nil
+	}
+	left := m.Alloc()
+	right := m.Alloc()
+	if left == nil || right == nil {
+		m.Release(cell)
+		m.Release(left)
+		m.Release(right)
+		return nil
+	}
+	cell.SetKind(mm.KindCell)
+	left.SetKind(mm.KindAux)
+	right.SetKind(mm.KindAux)
+	left.StoreNext(t.empty)
+	m.AddRef(t.empty) // refs: edge left→empty
+	right.StoreNext(t.empty)
+	m.AddRef(t.empty) // refs: edge right→empty
+	// The allocation references of left and right become the references
+	// held by the cell's Item (released by the reclaim extractor).
+	cell.Item = item[K, V]{Key: key, Left: left, Right: right}
+	cell.Item.val.Set(value)
+	return cell
+}
+
+// Delete removes the item with the given key, reporting whether this call
+// removed it. It linearizes at the Compare&Swap that tombstones the key's
+// live cell, then unlinks the cell. A cell another Delete tombstoned is
+// an absent key: Delete helps unlink it and reports false.
+func (t *Tree[K, V]) Delete(key K) bool {
 	g, pinned := t.pin()
 	defer t.unpin(g, pinned)
-	for {
-		n, a := t.locate(key)
-		if n == nil {
-			t.drop(a)
-			return false
-		}
-		// Claim the cell with a descriptor recording the parent edge
-		// (the auxiliary node a, whose next we observed to be n).
-		d := m.Alloc()
-		if d == nil {
-			t.drop(n)
-			t.drop(a)
-			return false
-		}
+	n, a := t.locate(key)
+	if n == nil {
+		t.drop(a)
+		return false
+	}
+	_, deleted := n.Item.val.Tombstone()
+	t.unlink(n, a)
+	t.drop(n)
+	t.drop(a)
+	return deleted
+}
+
+// unlink splices out the tombstoned cell n, reached through the parent
+// edge a (the auxiliary node whose next was observed to be n). It claims
+// the cell with a descriptor recording a and runs the deletion as its
+// claimer; if another process holds the claim already, it helps that
+// process instead. n and a stay held by the caller.
+func (t *Tree[K, V]) unlink(n, a *mm.Node[item[K, V]]) {
+	m := t.manager
+	if n.BackLink() != nil {
+		t.help(n) // claimed already
+		return
+	}
+	if d := m.Alloc(); d != nil {
 		d.SetKind(mm.KindAux)
 		d.StoreNext(a)
 		m.AddRef(a) // refs: descriptor→parent aux (a stored, counted link)
@@ -331,16 +384,11 @@ func (t *Tree[K, V]) Delete(key K) bool {
 		if n.CASBackLink(nil, d) {
 			// The allocation reference of d becomes the back_link's.
 			t.run(n, a, true)
-			t.drop(n)
-			t.drop(a)
-			return true
+			return
 		}
 		m.Release(d) // reclaims d and its reference to a
-		t.help(n)    // the cell is claimed by someone else: help them
-		t.drop(n)
-		t.drop(a)
-		return false
 	}
+	t.help(n) // the cell is claimed by someone else: help them
 }
 
 // help completes (as far as safely possible) the deletion of the claimed
@@ -604,8 +652,7 @@ func (t *Tree[K, V]) rangeFrom(start *K, f func(key K, value V) bool) {
 		}
 		n := top.n
 		stack = stack[:len(stack)-1]
-		deleted := n.Deleted()
-		if !deleted && !emit(n.Item.Key, n.Item.Value) {
+		if v, ok := n.Item.val.Load(); ok && !emit(n.Item.Key, v) {
 			t.drop(n)
 			for _, fr := range stack {
 				t.drop(fr.n)

@@ -424,10 +424,14 @@ func TestHelpCompletesClaimedDeletion(t *testing.T) {
 			tr.Insert(k, k)
 		}
 		m := tr.manager
-		// Claim the leaf 5 exactly as Delete would, then "stall".
+		// Tombstone and claim the leaf 5 exactly as Delete would, then
+		// "stall".
 		n, a := tr.locate(5)
 		if n == nil {
 			t.Fatal("locate(5) did not find the cell")
+		}
+		if _, ok := n.Item.val.Tombstone(); !ok {
+			t.Fatal("tombstone failed on an idle tree")
 		}
 		d := m.Alloc()
 		d.SetKind(mm.KindAux)

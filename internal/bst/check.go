@@ -13,9 +13,9 @@ var ErrStructure = errors.New("bst: tree structure violated")
 // CheckQuiescent validates the §4.2 structural invariants of a quiescent
 // tree: every edge passes through at least one auxiliary node and
 // terminates at a cell or the empty sentinel; every cell's key lies within
-// the bounds implied by its ancestors; and no cell is claimed by an
-// unfinished deletion. It reads plainly and must only be called while no
-// operations are in flight.
+// the bounds implied by its ancestors; and no cell is tombstoned or
+// claimed by an unfinished deletion. It reads plainly and must only be
+// called while no operations are in flight.
 func (t *Tree[K, V]) CheckQuiescent() error {
 	seen := make(map[*mm.Node[item[K, V]]]bool)
 	var lo, hi *K
@@ -57,6 +57,9 @@ func (t *Tree[K, V]) checkEdge(a *mm.Node[item[K, V]], lo, hi *K, seen map[*mm.N
 	seen[n] = true
 	if n.Deleted() {
 		return fmt.Errorf("%w: claimed/deleted cell with key %v still linked", ErrStructure, n.Item.Key)
+	}
+	if !n.Item.val.Live() {
+		return fmt.Errorf("%w: tombstoned cell with key %v still linked", ErrStructure, n.Item.Key)
 	}
 	k := n.Item.Key
 	if lo != nil && k <= *lo {

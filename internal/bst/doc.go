@@ -31,10 +31,16 @@
 // sketch with a per-cell deletion descriptor so the steps are attributable
 // and helpable:
 //
-//   - Claim: the deleter allocates a descriptor recording the cell's
+//   - Tombstone: Delete linearizes at the Compare&Swap that tombstones
+//     the cell's value box (dict.Box); from then on the key reads as
+//     absent and the steps below only unlink the cell.
+//
+//   - Claim: the unlinker allocates a descriptor recording the cell's
 //     parent auxiliary node and installs it in the cell's (otherwise
-//     unused) back_link with Compare&Swap. Exactly one deleter per cell
-//     wins; losers help and report false.
+//     unused) back_link with Compare&Swap. Only tombstoned cells are
+//     claimed, and exactly one process per cell wins — the Delete, or an
+//     Insert or Upsert of the key that met the tombstone first; losers
+//     help.
 //
 //   - Cells with at most one child: the paper's short-circuit. Each EMPTY
 //     side is swung from the empty sentinel to the parent auxiliary node,
@@ -64,7 +70,8 @@
 //     which is beyond the paper. Consequently two-child deletion is the
 //     one operation that is not helped from start to finish; the paper's
 //     own sketch leaves this case unresolved, and §4.2's analysis
-//     (experiment E6) covers Find and Insert only.
+//     (experiment E6) covers Find and Insert only. An Insert or Upsert of
+//     the key being deleted waits, backing off, for the claimer's splice.
 //
 // Deleted cells keep their key and edges intact until reclaimed (§2.2), so
 // concurrent traversals that entered a spliced-out cell continue into live

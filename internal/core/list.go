@@ -217,6 +217,12 @@ func (l *List[T]) maybeYield() {
 	}
 }
 
+// Yield runs the yield hook. Structures built on the list call it before
+// linearizing steps they take outside it — the dictionaries' value box
+// loads and Compare&Swaps (dict.Box) — so the schedule explorer
+// interleaves there too.
+func (l *List[T]) Yield() { l.maybeYield() }
+
 // First returns the dummy head cell. Exposed for tests and structural
 // checks; applications use cursors.
 func (l *List[T]) First() *mm.Node[T] { return l.first }

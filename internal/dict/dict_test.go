@@ -337,7 +337,7 @@ func TestSortedListStaysSortedUnderChurn(t *testing.T) {
 	}
 	// Leak check: close and verify full reclamation.
 	n := int64(len(items))
-	rc := s.List().Manager().(*mm.RC[Entry[int, int]])
+	rc := s.List().Manager().(*mm.RC[entry[int, int]])
 	if live, want := rc.Stats().Live(), 3+2*n; live != want {
 		t.Fatalf("live cells = %d, want %d", live, want)
 	}

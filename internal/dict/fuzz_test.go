@@ -16,6 +16,7 @@ func FuzzDictionarySemantics(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 1, 2, 1, 1, 1, 4, 1})
 	f.Add([]byte{0, 5, 0, 5, 1, 5, 1, 5})
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 1, 2, 2, 2, 2, 1, 0, 2})
+	f.Add([]byte{3, 1, 2, 1, 3, 1, 2, 1, 1, 1, 3, 1, 0, 1, 2, 1})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		structures := []struct {
 			name string
@@ -29,7 +30,7 @@ func FuzzDictionarySemantics(f *testing.F) {
 		model := map[int]int{}
 		val := 0
 		for i := 0; i+1 < len(ops); i += 2 {
-			op := ops[i] % 3
+			op := ops[i] % 4
 			k := int(ops[i+1] % 16)
 			switch op {
 			case 0:
@@ -51,6 +52,12 @@ func FuzzDictionarySemantics(f *testing.F) {
 					}
 				}
 				delete(model, k)
+			case 3:
+				val++
+				for _, s := range structures {
+					s.d.Upsert(k, val)
+				}
+				model[k] = val
 			default:
 				mv, exists := model[k]
 				for _, s := range structures {

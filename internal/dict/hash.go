@@ -13,7 +13,7 @@ import (
 // list. With a hash function that spreads operations evenly, the expected
 // extra work per operation is O(1) — experiment E4 measures this.
 type Hash[K cmp.Ordered, V any] struct {
-	manager mm.Manager[Entry[K, V]] // one reclamation domain for every bucket
+	manager mm.Manager[entry[K, V]] // one reclamation domain for every bucket
 	buckets []*SortedList[K, V]
 	hash    func(K) uint64
 }
@@ -31,7 +31,7 @@ func NewHash[K cmp.Ordered, V any](nbuckets int, mode mm.Mode, hash func(K) uint
 		nbuckets = 1
 	}
 	h := &Hash[K, V]{
-		manager: mm.NewManager[Entry[K, V]](mode, opts...),
+		manager: mm.NewManager[entry[K, V]](mode, opts...),
 		buckets: make([]*SortedList[K, V], nbuckets),
 		hash:    hash,
 	}
@@ -51,6 +51,9 @@ func (h *Hash[K, V]) Find(key K) (V, bool) { return h.bucket(key).Find(key) }
 // Insert adds the item if the key is not present, reporting whether it
 // inserted.
 func (h *Hash[K, V]) Insert(key K, value V) bool { return h.bucket(key).Insert(key, value) }
+
+// Upsert binds key to value in the key's bucket.
+func (h *Hash[K, V]) Upsert(key K, value V) { h.bucket(key).Upsert(key, value) }
 
 // Delete removes the item with the given key, reporting whether an item
 // was removed.

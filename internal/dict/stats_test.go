@@ -38,7 +38,7 @@ func TestSortedListStatsAndKnobs(t *testing.T) {
 		t.Fatal("Reset did not zero the counters")
 	}
 	s.Close()
-	if live := s.List().Manager().(*mm.RC[Entry[int, int]]).Stats().Live(); live != 0 {
+	if live := s.List().Manager().(*mm.RC[entry[int, int]]).Stats().Live(); live != 0 {
 		t.Fatalf("live cells after Close = %d, want 0", live)
 	}
 }

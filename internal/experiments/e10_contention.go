@@ -108,7 +108,7 @@ func e10Dict(o Options, opts ...mm.RCOption) (float64, int64) {
 	d := dict.NewSortedList[int, int](mm.ModeRC, opts...)
 	defer d.Close()
 	d.EnableTorture(2)
-	if rc, ok := d.List().Manager().(*mm.RC[dict.Entry[int, int]]); ok {
+	if rc, ok := d.List().Manager().(interface{ SetYieldHook(func()) }); ok {
 		rc.SetYieldHook(runtime.Gosched)
 	}
 	cfg := workload.Config{

@@ -161,11 +161,8 @@ func e11Dict(o Options, mode mm.Mode) (float64, string) {
 	const p = 4
 	d := dict.NewSortedList[int, int](mode)
 	d.EnableTorture(2)
-	switch m := d.List().Manager().(type) {
-	case *mm.RC[dict.Entry[int, int]]:
-		m.SetYieldHook(runtime.Gosched)
-	case *mm.EBR[dict.Entry[int, int]]:
-		m.SetYieldHook(runtime.Gosched)
+	if m, ok := d.List().Manager().(interface{ SetYieldHook(func()) }); ok {
+		m.SetYieldHook(runtime.Gosched) // rc and ebr: the free-list windows
 	}
 	cfg := workload.Config{
 		Goroutines: p,

@@ -6,10 +6,10 @@ package linearize
 // checked for linearizability. Two things differ from the in-memory
 // dictionaries:
 //
-//  1. The sequential spec: SET is an upsert (the server composes
-//     delete-then-insert until it wins, and always replies STORED), so a
-//     completed SET succeeds in every state, unlike the paper's Insert
-//     which refuses duplicates. GET and DELETE match Find and Delete.
+//  1. The sequential spec: SET is an upsert (the server calls the
+//     dictionary's Upsert and always replies STORED), so a completed SET
+//     succeeds in every state, unlike the paper's Insert which refuses
+//     duplicates. GET and DELETE match Find and Delete.
 //
 //  2. Ambiguous retries: over a faulty network a SET or DELETE whose
 //     response was lost (connection reset, deadline) may or may not have
@@ -26,7 +26,7 @@ func applyKV(st keyState, e Event) (keyState, bool) {
 		switch e.Op {
 		case OpFind:
 			return st, true
-		case OpInsert:
+		case OpInsert, OpUpsert:
 			// A lost SET that executed overwrote the binding.
 			return keyState{present: true, value: e.Value}, true
 		case OpDelete:
@@ -47,7 +47,7 @@ func applyKV(st keyState, e Event) (keyState, bool) {
 			return st, false
 		}
 		return st, true
-	case OpInsert: // SET: an upsert, legal (and STORED) in every state
+	case OpInsert, OpUpsert: // SET: an upsert, legal (and STORED) in every state
 		if !e.OK {
 			return st, false // the server never refuses a SET
 		}
@@ -69,8 +69,9 @@ func applyKV(st keyState, e Event) (keyState, bool) {
 }
 
 // CheckKV verifies a wire-level history against the sequential
-// key-value specification of the valoisd protocol: OpInsert events are
-// SETs (upserts), OpFind events are GETs, OpDelete events are DELETEs.
+// key-value specification of the valoisd protocol: OpUpsert events (and
+// OpInsert events, read the same way) are SETs, OpFind events are GETs,
+// OpDelete events are DELETEs.
 // Events marked Lost are operations with no response; the checker
 // accepts histories in which they executed (at any point after
 // invocation) and histories in which they did not.

@@ -16,8 +16,9 @@
 // Dictionary operations on distinct keys commute, so the checker uses the
 // standard decomposition: a history is linearizable if and only if each
 // per-key subhistory is linearizable against the single-key specification
-// (absent | present(v); Insert succeeds iff absent, Delete succeeds iff
-// present, Find returns the current binding). Per-key subhistories stay
+// (absent | present(v); Insert succeeds iff absent, Upsert always
+// succeeds and binds, Delete succeeds iff present, Find returns the
+// current binding). Per-key subhistories stay
 // small, keeping the exponential search tractable.
 package linearize
 
@@ -38,6 +39,7 @@ const (
 	OpFind Op = iota + 1
 	OpInsert
 	OpDelete
+	OpUpsert
 )
 
 // String returns the operation's name.
@@ -49,6 +51,8 @@ func (o Op) String() string {
 		return "insert"
 	case OpDelete:
 		return "delete"
+	case OpUpsert:
+		return "upsert"
 	default:
 		return "invalid"
 	}
@@ -58,8 +62,8 @@ func (o Op) String() string {
 type Event struct {
 	Op    Op
 	Key   int
-	Value int  // argument of Insert; result of a successful Find
-	OK    bool // Insert/Delete success, or Find hit
+	Value int  // argument of Insert/Upsert; result of a successful Find
+	OK    bool // Insert/Delete success, Find hit; always true for Upsert
 	Start int64
 	End   int64
 	// Lost marks an operation whose invocation was observed but whose
@@ -127,6 +131,14 @@ func (s *Session) Insert(key, value int) bool {
 	end := s.r.clock.Add(1)
 	s.events = append(s.events, Event{Op: OpInsert, Key: key, Value: value, OK: ok, Start: start, End: end})
 	return ok
+}
+
+// Upsert performs and records an Upsert.
+func (s *Session) Upsert(key, value int) {
+	start := s.r.clock.Add(1)
+	s.r.d.Upsert(key, value)
+	end := s.r.clock.Add(1)
+	s.events = append(s.events, Event{Op: OpUpsert, Key: key, Value: value, OK: true, Start: start, End: end})
 }
 
 // Delete performs and records a Delete.
@@ -221,6 +233,11 @@ func (st keyState) apply(e Event) (keyState, bool) {
 			return st, false // failed insert while absent is illegal
 		}
 		return st, true
+	case OpUpsert:
+		if !e.OK {
+			return st, false // an Upsert never fails
+		}
+		return keyState{present: true, value: e.Value}, true
 	case OpDelete:
 		if e.OK {
 			if !st.present {
@@ -248,6 +265,8 @@ func (st keyState) applyLost(e Event) (keyState, bool) {
 		if st.present {
 			return st, true // dict Insert refuses duplicates; no effect
 		}
+		return keyState{present: true, value: e.Value}, true
+	case OpUpsert:
 		return keyState{present: true, value: e.Value}, true
 	case OpDelete:
 		if !st.present {

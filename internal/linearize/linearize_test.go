@@ -172,6 +172,12 @@ func (f *faultyDict) Insert(k, v int) bool {
 	return true
 }
 
+func (f *faultyDict) Upsert(k, v int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.m[k] = v
+}
+
 func (f *faultyDict) Delete(k int) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()

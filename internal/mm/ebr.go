@@ -140,7 +140,7 @@ const (
 // SetReclaimExtractor mirrors RC.SetReclaimExtractor: the extractor's
 // references are released when a retired cell's grace period expires and
 // it is actually freed.
-func (m *EBR[T]) SetReclaimExtractor(f func(item T) (first, second *Node[T])) {
+func (m *EBR[T]) SetReclaimExtractor(f func(item *T) (first, second *Node[T])) {
 	m.fl.SetReclaimExtractor(f)
 }
 
@@ -370,7 +370,7 @@ func (m *EBR[T]) free(n *Node[T]) {
 	back := n.backLink.Swap(nil)
 	var extraA, extraB *Node[T]
 	if m.fl.extract != nil {
-		extraA, extraB = m.fl.extract(n.Item) // read before push: a concurrent Alloc may zero Item
+		extraA, extraB = m.fl.extract(&n.Item) // read before push: a concurrent Alloc may zero Item
 	}
 	m.fl.stats.reclaims.Add(1)
 	m.limboCount.Add(-1)

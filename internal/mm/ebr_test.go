@@ -213,8 +213,8 @@ func TestEBRExtractorRunsOnFree(t *testing.T) {
 	b := m.Alloc() // the cell the extractor will surface, as a skip-list
 	// tower's Down pointer would; our allocation reference stands in for
 	// the item's counted reference.
-	m.SetReclaimExtractor(func(item int) (*Node[int], *Node[int]) {
-		if item == 1 {
+	m.SetReclaimExtractor(func(item *int) (*Node[int], *Node[int]) {
+		if *item == 1 {
 			return b, nil
 		}
 		return nil, nil

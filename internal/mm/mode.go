@@ -64,9 +64,9 @@ func NewManager[T any](mode Mode, opts ...RCOption) Manager[T] {
 // ebr — see RC.SetReclaimExtractor) and does nothing under gc, so a
 // structure whose items hold counted references builds its manager with
 // NewManager whatever the mode.
-func SetReclaimExtractor[T any](m Manager[T], f func(item T) (first, second *Node[T])) {
+func SetReclaimExtractor[T any](m Manager[T], f func(item *T) (first, second *Node[T])) {
 	if r, ok := m.(interface {
-		SetReclaimExtractor(func(T) (*Node[T], *Node[T]))
+		SetReclaimExtractor(func(*T) (*Node[T], *Node[T]))
 	}); ok {
 		r.SetReclaimExtractor(f)
 	}

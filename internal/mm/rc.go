@@ -88,7 +88,7 @@ type RC[T any] struct {
 	stride    int   // distance between live cells in a grow batch, in cells (1 = packed)
 	noBackoff bool
 	yield     func() // see SetYieldHook
-	extract   func(item T) (first, second *Node[T])
+	extract   func(item *T) (first, second *Node[T])
 
 	// drop gives back a transient SafeRead reference (Figure 15's undo,
 	// Figure 17 line 6). It is Release, except when the free list serves
@@ -222,7 +222,7 @@ func (m *RC[T]) NumStripes() int { return len(m.stripes) }
 // reclaiming a cell releases those references too, exactly as Reclaim
 // releases the cell's own next and back_link. It must be called before the
 // manager is shared between goroutines.
-func (m *RC[T]) SetReclaimExtractor(f func(item T) (first, second *Node[T])) {
+func (m *RC[T]) SetReclaimExtractor(f func(item *T) (first, second *Node[T])) {
 	m.extract = f
 }
 
@@ -415,7 +415,7 @@ func (m *RC[T]) Release(n *Node[T]) {
 		back := n.backLink.Swap(nil)
 		var extraA, extraB *Node[T]
 		if m.extract != nil {
-			extraA, extraB = m.extract(n.Item) // read before push: a concurrent Alloc may zero Item
+			extraA, extraB = m.extract(&n.Item) // read before push: a concurrent Alloc may zero Item
 		}
 		m.stats.reclaims.Add(1)
 		if home < 0 {

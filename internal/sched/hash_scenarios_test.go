@@ -52,9 +52,9 @@ func checkCollidingHash(h *dict.Hash[int, int], mode mm.Mode) error {
 		}
 	case mm.ModeEBR:
 		// Each bucket has its own manager; quiesce them all after Close.
-		managers := make([]*mm.EBR[dict.Entry[int, int]], 0, 2)
+		managers := make([]mm.Quiescer, 0, 2)
 		for i := 0; i < 2; i++ {
-			managers = append(managers, h.Bucket(i).List().Manager().(*mm.EBR[dict.Entry[int, int]]))
+			managers = append(managers, h.Bucket(i).List().Manager().(mm.Quiescer))
 		}
 		h.Close()
 		for i, ebr := range managers {

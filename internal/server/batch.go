@@ -75,7 +75,7 @@ func (s *Server) execKeyed(e *batchEntry) {
 
 	case proto.VerbSet:
 		s.cmdSet.Add(1)
-		s.store.set(e.cmd.Key, e.cmd.Value)
+		s.store.d.Upsert(e.cmd.Key, e.cmd.Value)
 		if s.log != nil {
 			if err := s.log.Append(e.cmd); err != nil {
 				s.persistErrs.Add(1)

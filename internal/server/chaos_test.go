@@ -113,20 +113,31 @@ func dialChaos(addr, protocol string) (*client.Client, error) {
 }
 
 func TestChaosLinearizable(t *testing.T) {
+	modes := []string{"gc", "rc", "ebr"}
 	for bi, backend := range server.Backends() {
 		for si, seed := range chaosSeeds {
 			// Alternate so each backend runs all three memory modes (gc,
 			// §5 reference counts, epoch-based reclamation) across the
 			// seed matrix.
-			mode := []string{"gc", "rc", "ebr"}[(bi+si)%3]
+			mode := modes[(bi+si)%3]
 			t.Run(fmt.Sprintf("%s-%s-seed%d", backend, mode, seed), func(t *testing.T) {
-				runChaos(t, backend, mode, seed)
+				runChaos(t, backend, mode, seed, chaosOps)
+			})
+		}
+		// The hot-key arm (see hotKeyOps), once per memory mode.
+		for mi, mode := range modes {
+			seed := chaosSeeds[(bi+mi)%len(chaosSeeds)]
+			t.Run(fmt.Sprintf("%s-%s-seed%d-hotkey", backend, mode, seed), func(t *testing.T) {
+				runChaos(t, backend, mode, seed, hotKeyOps)
 			})
 		}
 	}
 }
 
-func runChaos(t *testing.T, backend, mode string, seed int64) {
+// chaosOps spreads GET/SET/DELETE 40/40/20 over chaosKeys keys.
+var chaosOps = wireMix{keys: chaosKeys, gets: 4, sets: 4}
+
+func runChaos(t *testing.T, backend, mode string, seed int64, mix wireMix) {
 	replay := fmt.Sprintf("backend=%s mode=%s seed=%d", backend, mode, seed)
 	base := goroutineBaseline()
 	_, addr, stop := bootServer(t, chaosServerConfig(backend, mode))
@@ -136,7 +147,7 @@ func runChaos(t *testing.T, backend, mode string, seed int64) {
 	}
 	defer proxy.Close()
 
-	h := newWireHist(chaosKeys)
+	h := newWireHist(mix.keys)
 	opsPer := testenv.Iters(100)
 	fatal := make(chan error, chaosWorkers)
 	var wg sync.WaitGroup
@@ -158,16 +169,9 @@ func runChaos(t *testing.T, backend, mode string, seed int64) {
 				if !ok {
 					return // every key is at its history budget
 				}
-				switch rng.Intn(10) {
-				case 0, 1, 2, 3:
-					if err, bad := h.doWireGet(c, k); bad {
-						fatal <- fmt.Errorf("worker %d: %w", w, err)
-						return
-					}
-				case 4, 5, 6, 7:
-					h.doWireSet(c, k)
-				default:
-					h.doWireDelete(c, k)
+				if err, bad := mix.op(h, c, k, rng.Intn(10)); bad {
+					fatal <- fmt.Errorf("worker %d: %w", w, err)
+					return
 				}
 			}
 		}()
@@ -188,7 +192,7 @@ func runChaos(t *testing.T, backend, mode string, seed int64) {
 	// (unfaulted) read-back of every key, which also joins the history —
 	// maxEventsPerKey leaves each key slack for exactly this pass.
 	direct := dialTest(t, addr)
-	for k := 0; k < chaosKeys; k++ {
+	for k := 0; k < mix.keys; k++ {
 		if err, _ := h.doWireGet(direct, k); err != nil {
 			t.Fatalf("%s: post-chaos GET on a clean connection: %v", replay, err)
 		}

@@ -61,7 +61,7 @@ func (s *Server) openPersist() error {
 func (s *Server) applyRecovered(cmd proto.Command) error {
 	switch cmd.Verb {
 	case proto.VerbSet:
-		s.store.set(cmd.Key, cmd.Value)
+		s.store.d.Upsert(cmd.Key, cmd.Value)
 	case proto.VerbDelete:
 		s.store.d.Delete(cmd.Key)
 	default:

@@ -35,7 +35,7 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 
 func (s *Server) put(keys ...string) {
 	for _, k := range keys {
-		s.store.set(k, []byte("v:"+k))
+		s.store.d.Upsert(k, []byte("v:"+k))
 	}
 }
 

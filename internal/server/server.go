@@ -30,7 +30,6 @@ import (
 	"valois/internal/dict"
 	"valois/internal/mm"
 	"valois/internal/persist"
-	"valois/internal/primitive"
 	"valois/internal/skiplist"
 )
 
@@ -312,24 +311,6 @@ func (s *Server) Recovery() persist.RecoveryInfo { return s.recovery }
 // logStripe picks the key's ordering lock: same key, same stripe.
 func logStripe(key string) int {
 	return int(dict.HashString(key) % logStripes)
-}
-
-// set is an upsert: the paper's Insert (Figure 12) refuses duplicate keys
-// rather than replacing, so SET loops delete-then-insert until its insert
-// wins. Each iteration is lock-free; the loop retries only when another
-// goroutine re-inserted the key in the window, so it terminates unless the
-// key is under perpetual contention from other writers. Retries back off
-// exponentially (§2.1): when several connections SET the same hot key,
-// immediate retries just feed each other's delete-then-insert windows.
-func (st *store) set(key string, value []byte) {
-	var backoff primitive.Backoff
-	for {
-		if st.d.Insert(key, value) {
-			return
-		}
-		st.d.Delete(key)
-		backoff.Wait()
-	}
 }
 
 // Addr returns the listening address, or nil before Serve.

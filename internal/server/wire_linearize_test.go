@@ -9,9 +9,13 @@ package server_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"valois/internal/client"
 	"valois/internal/server"
 	"valois/internal/testenv"
 )
@@ -19,19 +23,48 @@ import (
 func TestWireLinearizable(t *testing.T) {
 	for bi, backend := range server.Backends() {
 		for mi, mode := range []string{"gc", "rc", "ebr"} {
+			seed := int64(bi*2 + mi + 1)
 			t.Run(fmt.Sprintf("%s-%s", backend, mode), func(t *testing.T) {
-				seed := int64(bi*2 + mi + 1)
-				runWireLinearizable(t, backend, mode, seed)
+				runWireLinearizable(t, backend, mode, seed, mixedOps)
+			})
+			t.Run(fmt.Sprintf("%s-%s-hotkey", backend, mode), func(t *testing.T) {
+				runWireLinearizable(t, backend, mode, seed, hotKeyOps)
 			})
 		}
 	}
 }
 
-func runWireLinearizable(t *testing.T, backend, mode string, seed int64) {
+// wireMix is the shape of a recorded workload: the key count, and out of
+// every ten operations how many are GETs and SETs (the rest DELETEs).
+type wireMix struct {
+	keys, gets, sets int
+}
+
+var (
+	// mixedOps spreads GET/SET/DELETE 40/40/20 over 16 keys.
+	mixedOps = wireMix{keys: 16, gets: 4, sets: 4}
+	// hotKeyOps is SET and GET only on two keys, so nearly every SET
+	// overwrites a bound key while other connections read it — the
+	// window a delete-then-insert SET leaves the key absent in.
+	hotKeyOps = wireMix{keys: 2, gets: 5, sets: 5}
+)
+
+// op runs one operation drawn from the mix.
+func (m wireMix) op(h *wireHist, c *client.Client, k, draw int) (err error, fatal bool) {
+	switch {
+	case draw < m.gets:
+		return h.doWireGet(c, k)
+	case draw < m.gets+m.sets:
+		return h.doWireSet(c, k), false
+	default:
+		return h.doWireDelete(c, k), false
+	}
+}
+
+func runWireLinearizable(t *testing.T, backend, mode string, seed int64, mix wireMix) {
 	_, addr := startServer(t, server.Config{Backend: backend, Mode: mode})
 
-	const keys = 16
-	h := newWireHist(keys)
+	h := newWireHist(mix.keys)
 	workers := 4
 	opsPer := testenv.Iters(150)
 	var wg sync.WaitGroup
@@ -49,16 +82,7 @@ func runWireLinearizable(t *testing.T, backend, mode string, seed int64) {
 				if !ok {
 					return
 				}
-				var err error
-				switch rng.Intn(10) {
-				case 0, 1, 2, 3:
-					err, _ = h.doWireGet(c, k)
-				case 4, 5, 6, 7:
-					err = h.doWireSet(c, k)
-				default:
-					err = h.doWireDelete(c, k)
-				}
-				if err != nil {
+				if err, _ := mix.op(h, c, k, rng.Intn(10)); err != nil {
 					// No faults are injected here, so every error is real.
 					errs <- fmt.Errorf("worker %d op %d: %w", w, i, err)
 					return
@@ -72,5 +96,81 @@ func runWireLinearizable(t *testing.T, backend, mode string, seed int64) {
 		t.Fatalf("clean wire op failed: %v", err)
 	}
 
-	checkWireHistory(t, h, fmt.Sprintf("loopback backend=%s mode=%s seed=%d", backend, mode, seed))
+	checkWireHistory(t, h, fmt.Sprintf("loopback backend=%s mode=%s seed=%d keys=%d", backend, mode, seed, mix.keys))
+}
+
+// TestWireHotKeyNeverMissed is the dictionary-level probe
+// (TestUpsertHotKeyNeverMissed in internal/dict) over the wire: two
+// connections SET one key that is never deleted while two others GET
+// it, and every GET must hit. Requests travel in pipelined batches, so
+// the server executes them back to back, as fast as the dictionary-level
+// probe does, rather than one per round trip.
+func TestWireHotKeyNeverMissed(t *testing.T) {
+	prev := runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0)))
+	defer runtime.GOMAXPROCS(prev)
+	const key, depth = "hot", 64
+	rounds := testenv.Iters(200)
+	for _, backend := range server.Backends() {
+		for _, mode := range []string{"gc", "rc", "ebr"} {
+			t.Run(backend+"-"+mode, func(t *testing.T) {
+				_, addr := startServer(t, server.Config{Backend: backend, Mode: mode})
+				if err := dialTest(t, addr).Set(key, []byte("0")); err != nil {
+					t.Fatal(err)
+				}
+				var wg sync.WaitGroup
+				for w := 0; w < 2; w++ {
+					c := dialTestProto(t, addr, protoFor(w))
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						var b client.Batch
+						for r := 0; r < rounds; r++ {
+							b.Reset()
+							for i := 0; i < depth; i++ {
+								b.Set(key, []byte(strconv.Itoa(r*depth+i)))
+							}
+							if _, err := c.Do(&b); err != nil {
+								t.Errorf("SET batch: %v", err)
+								return
+							}
+						}
+					}()
+				}
+				var done atomic.Bool
+				var reads, misses atomic.Int64
+				var readers sync.WaitGroup
+				for r := 0; r < 2; r++ {
+					c := dialTestProto(t, addr, protoFor(r))
+					readers.Add(1)
+					go func() {
+						defer readers.Done()
+						var b client.Batch
+						for i := 0; i < depth; i++ {
+							b.Get(key)
+						}
+						var res []client.Result
+						for !done.Load() {
+							var err error
+							if res, err = c.DoInto(&b, res[:0]); err != nil {
+								t.Errorf("GET batch: %v", err)
+								return
+							}
+							for _, g := range res {
+								reads.Add(1)
+								if !g.Found {
+									misses.Add(1)
+								}
+							}
+						}
+					}()
+				}
+				wg.Wait()
+				done.Store(true)
+				readers.Wait()
+				if misses.Load() != 0 {
+					t.Fatalf("%d of %d GETs of a never-deleted key missed", misses.Load(), reads.Load())
+				}
+			})
+		}
+	}
 }

@@ -102,10 +102,10 @@ func (h *wireHist) doWireSet(c *client.Client, k int) error {
 	err := c.Set(wireKey(k), []byte(strconv.Itoa(id)))
 	end := h.clock.Add(1)
 	if err != nil {
-		h.record(linearize.Event{Op: linearize.OpInsert, Key: k, Value: id, Start: start, Lost: true})
+		h.record(linearize.Event{Op: linearize.OpUpsert, Key: k, Value: id, Start: start, Lost: true})
 		return err
 	}
-	h.record(linearize.Event{Op: linearize.OpInsert, Key: k, Value: id, OK: true, Start: start, End: end})
+	h.record(linearize.Event{Op: linearize.OpUpsert, Key: k, Value: id, OK: true, Start: start, End: end})
 	return nil
 }
 

@@ -6,8 +6,9 @@
 // and working up, and deletions starting at the top and working down."
 //
 // Every level is an independent lock-free list from internal/core. The
-// bottom level holds all items and is the linearization point of every
-// dictionary operation; the higher levels are an index — towers of cells
+// bottom level holds all items, and every dictionary operation
+// linearizes there — at a bottom cell's value box (dict.Box) or at the
+// bottom-level insertion; the higher levels are an index — towers of cells
 // for the same key connected by Down pointers — that only accelerates the
 // descent. A search walks each level from the closest predecessor found on
 // the level above, following the predecessor cell's Down pointer
@@ -25,12 +26,13 @@
 //
 // Because index levels are hints, an insertion building a tower upward can
 // race a deletion tearing it down top-down. No index cell outlives its
-// bottom cell, though: Delete sweeps every level for the key again after
-// its bottom-level deletion, and Insert, after linking an index cell,
-// checks the bottom cell once more and unlinks the index cell itself if
-// the deletion got there first — so one of the two always sees the other.
-// (An index cell left behind would pin its dead bottom cell, and every
-// dead cell chained behind that one, until the key's next deletion.)
+// bottom cell, though: Delete sweeps every level for the key after
+// tombstoning the bottom cell, and the insertion, after linking an index
+// cell, checks the bottom cell's box once more and unlinks the index cell
+// itself if the tombstone got there first — so one of the two always sees
+// the other. (An index cell left behind would pin its dead bottom cell,
+// and every dead cell chained behind that one, until the key's next
+// deletion.)
 package skiplist
 
 import (
@@ -49,14 +51,16 @@ const defaultMaxLevel = 16
 // back to a heap slice per operation.
 const framePreds = 2 * defaultMaxLevel
 
-// item is what a cell stores: the key at every level, the value at the
-// bottom level, and the Down pointer into the next lower level (nil at the
-// bottom). Down is a counted reference under mm.RC; the manager's reclaim
-// extractor releases it when the cell is reclaimed.
+// item is what a cell stores: the key at every level, the value's Box at
+// the bottom level (index cells leave it empty), and the Down pointer into
+// the next lower level (nil at the bottom). Down is a counted reference
+// under mm.RC; the manager's reclaim extractor releases it when the cell
+// is reclaimed. Published items are read through their cell, never
+// copied: the box is written concurrently.
 type item[K cmp.Ordered, V any] struct {
-	Key   K
-	Value V
-	Down  *mm.Node[item[K, V]]
+	Key  K
+	val  dict.Box[V]
+	Down *mm.Node[item[K, V]]
 }
 
 // SkipList is a non-blocking skip-list dictionary.
@@ -120,7 +124,7 @@ func New[K cmp.Ordered, V any](mode mm.Mode, opts ...Option) *SkipList[K, V] {
 
 // downOf is the managers' reclaim extractor: a reclaimed cell gives up its
 // counted Down reference.
-func downOf[K cmp.Ordered, V any](it item[K, V]) (*mm.Node[item[K, V]], *mm.Node[item[K, V]]) {
+func downOf[K cmp.Ordered, V any](it *item[K, V]) (*mm.Node[item[K, V]], *mm.Node[item[K, V]]) {
 	return it.Down, nil
 }
 
@@ -194,7 +198,7 @@ func (s *SkipList[K, V]) open(c *core.Cursor[item[K, V]]) {
 // seek advances the cursor until it visits the first cell with key ≥ k.
 // It is findFrom's traversal (Figure 11) without the equality decision.
 func seek[K cmp.Ordered, V any](c *core.Cursor[item[K, V]], k K) {
-	for !c.End() && c.Item().Key < k {
+	for !c.End() && c.Target().Item.Key < k {
 		if !c.Next() {
 			return
 		}
@@ -248,16 +252,15 @@ func (s *SkipList[K, V]) releasePreds(preds []*mm.Node[item[K, V]]) {
 }
 
 // Find reports the value stored under key. Membership is decided by the
-// bottom level; higher levels only provide the starting point.
+// bottom level; higher levels only provide the starting point. A hit
+// linearizes at the box load, as in dict.SortedList.Find.
 func (s *SkipList[K, V]) Find(key K) (V, bool) {
 	var c core.Cursor[item[K, V]]
 	s.open(&c)
 	defer c.Close()
 	s.descend(&c, key, nil)
-	if !c.End() {
-		if it := c.Item(); it.Key == key {
-			return it.Value, true
-		}
+	if t := c.Target(); !c.End() && t.Item.Key == key {
+		return t.Item.val.Load()
 	}
 	var zero V
 	return zero, false
@@ -267,9 +270,15 @@ func (s *SkipList[K, V]) Find(key K) (V, bool) {
 // inserted. The bottom-level insertion is the linearization point and
 // enforces uniqueness exactly as Figure 12 does; index cells are then
 // added bottom-up (§4.1).
-func (s *SkipList[K, V]) Insert(key K, value V) bool {
-	m := s.manager
-	h := s.height()
+func (s *SkipList[K, V]) Insert(key K, value V) bool { return s.put(key, value, false) }
+
+// Upsert binds key to value: one Compare&Swap on the box of the key's
+// live bottom cell, or Insert's path when there is none.
+func (s *SkipList[K, V]) Upsert(key K, value V) { s.put(key, value, true) }
+
+// put is dict.SortedList's put on the bottom level, started where the
+// descent ended, followed by the new cell's tower.
+func (s *SkipList[K, V]) put(key K, value V, replace bool) bool {
 	var frame [framePreds]*mm.Node[item[K, V]]
 	preds := s.predsIn(&frame)
 	var c core.Cursor[item[K, V]]
@@ -278,32 +287,49 @@ func (s *SkipList[K, V]) Insert(key K, value V) bool {
 	defer s.releasePreds(preds)
 	s.descend(&c, key, preds)
 
-	// Bottom level: the Figure 12 loop, starting where the descent ended.
 	base := s.levels[0]
-	q, a := base.AllocInsertNodes(item[K, V]{Key: key, Value: value})
-	if q == nil {
-		return false
-	}
+	var q, a *mm.Node[item[K, V]]
 	for {
 		seek(&c, key)
-		if !c.End() && c.Item().Key == key {
-			base.ReleaseNodes(q, a)
-			return false
+		if t := c.Target(); !c.End() && t.Item.Key == key {
+			base.Yield()
+			box := &t.Item.val
+			if replace && box.Replace(value) || !replace && box.Live() {
+				base.ReleaseNodes(q, a)
+				return replace
+			}
+			c.TryDelete() // tombstoned: help its Delete unlink it
+		} else {
+			if q == nil {
+				if q, a = base.AllocInsertNodes(item[K, V]{Key: key}); q == nil {
+					return false
+				}
+				q.Item.val.Set(value)
+			}
+			if c.TryInsert(q, a) {
+				break
+			}
+			base.Stats().AddInsertRetries(1)
 		}
-		if c.TryInsert(q, a) {
-			break
-		}
-		base.Stats().AddInsertRetries(1)
 		c.Update()
 	}
 	base.ReleaseNodes(a) // the auxiliary node's allocation reference
+	s.buildTower(&c, q, preds)
+	return true
+}
 
-	// Build the index tower bottom-up. q's allocation reference keeps it
-	// alive while it becomes the first Down target.
+// buildTower adds the index cells of the new bottom cell q bottom-up,
+// consuming q's allocation reference, which keeps q alive while it
+// becomes the first Down target. It races q's deletion as the package
+// comment describes.
+func (s *SkipList[K, V]) buildTower(c *core.Cursor[item[K, V]], q *mm.Node[item[K, V]], preds []*mm.Node[item[K, V]]) {
+	m := s.manager
+	key := q.Item.Key
+	h := s.height()
 	below := q // counted: the allocation reference we have not released yet
 	for i := 1; i < h; i++ {
-		if q.Deleted() {
-			// A concurrent Delete already removed the bottom cell;
+		if !q.Item.val.Live() {
+			// A concurrent Delete already tombstoned the bottom cell;
 			// stop building — its sweep may have passed our level.
 			break
 		}
@@ -317,8 +343,8 @@ func (s *SkipList[K, V]) Insert(key K, value V) bool {
 		inserted := false
 		c.Seat(lvl, preds[i])
 		for {
-			seek(&c, key)
-			if !c.End() && c.Item().Key == key {
+			seek(c, key)
+			if !c.End() && c.Target().Item.Key == key {
 				break // an index cell for the key is already here
 			}
 			if c.TryInsert(iq, ia) {
@@ -336,14 +362,13 @@ func (s *SkipList[K, V]) Insert(key K, value V) bool {
 		below = iq
 		m.AddRef(below)
 		lvl.ReleaseNodes(iq, ia)
-		if q.Deleted() {
-			// The bottom cell is gone. Its deleter sweeps this level after
-			// the bottom deletion: a sweep that came after iq was linked
-			// has removed iq, and one that came before cannot have been
-			// missed by this check, so then removing iq falls to us.
+		if !q.Item.val.Live() {
+			// The bottom cell is deleted. A sweep that came after iq was
+			// linked has removed iq; one that came before cannot have
+			// been missed by this check, so then removing iq falls to us.
 			for {
 				c.Update() // the cursor went stale when iq was linked under it
-				seek(&c, key)
+				seek(c, key)
 				if c.Target() != iq || c.TryDelete() {
 					break
 				}
@@ -353,13 +378,11 @@ func (s *SkipList[K, V]) Insert(key K, value V) bool {
 		}
 	}
 	m.Release(below)
-	return true
 }
 
 // Delete removes the item with the given key, reporting whether an item
-// was removed. Index cells are removed top-down (§4.1) before the
-// bottom-level deletion, which is the linearization point; a final sweep
-// removes index cells a racing insertion may have added meanwhile.
+// was removed. It linearizes at the Compare&Swap that tombstones the
+// key's live bottom cell, then unlinks the tower.
 func (s *SkipList[K, V]) Delete(key K) bool {
 	var frame [framePreds]*mm.Node[item[K, V]]
 	preds := s.predsIn(&frame)
@@ -368,29 +391,36 @@ func (s *SkipList[K, V]) Delete(key K) bool {
 	defer c.Close()
 	defer s.releasePreds(preds)
 	s.descend(&c, key, preds)
-	s.deleteIndex(&c, key, preds)
+	d := c.Target()
+	if c.End() || d.Item.Key != key {
+		return false
+	}
+	if _, ok := d.Item.val.Tombstone(); !ok {
+		return false
+	}
+	s.unlink(&c, d, preds)
+	return true
+}
 
+// unlink removes the tombstoned bottom cell d and its tower: index cells
+// top-down (§4.1), then d itself by Figure 13's loop, which stops once d
+// is no longer where the key is — a helper unlinked it. The one index
+// sweep follows the tombstone, which is all buildTower needs.
+func (s *SkipList[K, V]) unlink(c *core.Cursor[item[K, V]], d *mm.Node[item[K, V]], preds []*mm.Node[item[K, V]]) {
+	key := d.Item.Key
 	base := s.levels[0]
+	base.Hold(d) // refs: d is compared by identity after the cursor leaves it
+	defer base.Unhold(d)
+	s.deleteIndex(c, key, preds)
 	c.Seat(base, preds[0])
-	deleted := false
 	for {
-		seek(&c, key)
-		if c.End() || c.Item().Key != key {
-			break
-		}
-		if c.TryDelete() {
-			deleted = true
-			break
+		seek(c, key)
+		if c.Target() != d || c.TryDelete() {
+			return
 		}
 		base.Stats().AddDeleteRetries(1)
 		c.Update()
 	}
-
-	if deleted {
-		// Sweep stragglers left by towers built concurrently with us.
-		s.deleteIndex(&c, key, preds)
-	}
-	return deleted
 }
 
 // deleteIndex removes every index cell with the key from levels top..1,
@@ -401,7 +431,7 @@ func (s *SkipList[K, V]) deleteIndex(c *core.Cursor[item[K, V]], key K, preds []
 		c.Seat(lvl, preds[i])
 		for {
 			seek(c, key)
-			if c.End() || c.Item().Key != key {
+			if c.End() || c.Target().Item.Key != key {
 				break
 			}
 			if !c.TryDelete() {
@@ -413,33 +443,19 @@ func (s *SkipList[K, V]) deleteIndex(c *core.Cursor[item[K, V]], key K, preds []
 }
 
 // Len reports the number of items (bottom-level snapshot).
-func (s *SkipList[K, V]) Len() int { return s.levels[0].Len() }
+func (s *SkipList[K, V]) Len() int {
+	n := 0
+	s.Range(func(K, V) bool { n++; return true })
+	return n
+}
 
 // Range calls f for each item in strictly ascending key order until f
-// returns false, traversing the bottom level. As with
-// dict.SortedList.Range, the sweep may rejoin the list at an earlier
-// position after passing through concurrently deleted cells, so items with
-// keys not above the last reported key are skipped to keep the output
-// monotone.
+// returns false, traversing the bottom level.
 func (s *SkipList[K, V]) Range(f func(key K, value V) bool) {
 	var c core.Cursor[item[K, V]]
 	s.levels[0].InitCursor(&c)
 	defer c.Close()
-	first := true
-	var last K
-	for !c.End() {
-		it := c.Item()
-		if first || it.Key > last {
-			if !f(it.Key, it.Value) {
-				return
-			}
-			first = false
-			last = it.Key
-		}
-		if !c.Next() {
-			return
-		}
-	}
+	scan(&c, nil, f)
 }
 
 // RangeFrom is Range starting at the first key ≥ start, using the index
@@ -450,16 +466,28 @@ func (s *SkipList[K, V]) RangeFrom(start K, f func(key K, value V) bool) {
 	s.open(&c)
 	defer c.Close()
 	s.descend(&c, start, nil)
+	scan(&c, &start, f)
+}
+
+// scan reports the live bottom-level items from the cursor onward,
+// skipping keys below *start (if start is non-nil) and tombstoned cells.
+// As with dict.SortedList.Range, the sweep may rejoin the list at an
+// earlier position after passing through concurrently deleted cells, so
+// items with keys not above the last reported key are skipped to keep the
+// output monotone.
+func scan[K cmp.Ordered, V any](c *core.Cursor[item[K, V]], start *K, f func(key K, value V) bool) {
 	first := true
 	var last K
 	for !c.End() {
-		it := c.Item()
-		if it.Key >= start && (first || it.Key > last) {
-			if !f(it.Key, it.Value) {
-				return
+		it := &c.Target().Item
+		if (start == nil || it.Key >= *start) && (first || it.Key > last) {
+			if v, ok := it.val.Load(); ok {
+				if !f(it.Key, v) {
+					return
+				}
+				first = false
+				last = it.Key
 			}
-			first = false
-			last = it.Key
 		}
 		if !c.Next() {
 			return

@@ -85,8 +85,9 @@ func TestLevelSubsetProperty(t *testing.T) {
 	}
 	keysAt := func(level int) map[int]bool {
 		set := make(map[int]bool)
-		for _, it := range s.Level(level).Items() {
-			set[it.Key] = true
+		items := s.Level(level).Items()
+		for i := range items {
+			set[items[i].Key] = true
 		}
 		return set
 	}

@@ -69,13 +69,23 @@ func (l *LockedList[K, V]) Find(key K) (V, bool) {
 }
 
 // Insert adds the item if the key is not present.
-func (l *LockedList[K, V]) Insert(key K, value V) bool {
+func (l *LockedList[K, V]) Insert(key K, value V) bool { return l.put(key, value, false) }
+
+// Upsert binds key to value, replacing the value of a present key.
+func (l *LockedList[K, V]) Upsert(key K, value V) { l.put(key, value, true) }
+
+// put inserts the item, or finds the key present and replaces its value
+// when replace is set; it reports whether the binding was written.
+func (l *LockedList[K, V]) put(key K, value V, replace bool) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.delay()
 	prev, cur := l.search(key)
 	if cur != nil && cur.key == key {
-		return false
+		if replace {
+			cur.value = value
+		}
+		return replace
 	}
 	n := &seqNode[K, V]{key: key, value: value, next: cur}
 	if prev == nil {
@@ -155,6 +165,9 @@ func (h *LockedHash[K, V]) Find(key K) (V, bool) { return h.bucket(key).Find(key
 
 // Insert adds the item if the key is not present.
 func (h *LockedHash[K, V]) Insert(key K, value V) bool { return h.bucket(key).Insert(key, value) }
+
+// Upsert binds key to value in the key's bucket.
+func (h *LockedHash[K, V]) Upsert(key K, value V) { h.bucket(key).Upsert(key, value) }
 
 // Delete removes the item with the given key.
 func (h *LockedHash[K, V]) Delete(key K) bool { return h.bucket(key).Delete(key) }

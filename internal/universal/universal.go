@@ -61,18 +61,32 @@ func (d *Dict[K, V]) Find(key K) (V, bool) {
 
 // Insert adds the item if the key is not present, copying the entire
 // state and swinging the root.
-func (d *Dict[K, V]) Insert(key K, value V) bool {
+func (d *Dict[K, V]) Insert(key K, value V) bool { return d.put(key, value, false) }
+
+// Upsert binds key to value, copying the entire state and swinging the
+// root.
+func (d *Dict[K, V]) Upsert(key K, value V) { d.put(key, value, true) }
+
+// put writes the binding into a copy of the state — in place of the
+// key's entry when present and replace is set — and reports whether it
+// did.
+func (d *Dict[K, V]) put(key K, value V, replace bool) bool {
 	var backoff primitive.Backoff
 	for {
 		s := d.root.Load()
 		i, ok := find(s, key)
-		if ok {
+		if ok && !replace {
 			return false
 		}
-		next := &state[K, V]{entries: make([]dict.Entry[K, V], len(s.entries)+1)}
-		copy(next.entries, s.entries[:i])
+		var next *state[K, V]
+		if ok {
+			next = &state[K, V]{entries: append([]dict.Entry[K, V](nil), s.entries...)}
+		} else {
+			next = &state[K, V]{entries: make([]dict.Entry[K, V], len(s.entries)+1)}
+			copy(next.entries, s.entries[:i])
+			copy(next.entries[i+1:], s.entries[i:])
+		}
 		next.entries[i] = dict.Entry[K, V]{Key: key, Value: value}
-		copy(next.entries[i+1:], s.entries[i:])
 		d.copies.Add(int64(len(s.entries)))
 		if d.root.CompareAndSwap(s, next) {
 			return true

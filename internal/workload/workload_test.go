@@ -107,6 +107,7 @@ func (c *countingDict) Find(k int) (int, bool) {
 	return 0, false
 }
 func (c *countingDict) Insert(k, v int) bool { return false }
+func (c *countingDict) Upsert(k, v int)      {}
 func (c *countingDict) Delete(k int) bool    { return false }
 
 func TestDelayInstalledInsideLockedStructure(t *testing.T) {
