@@ -22,8 +22,8 @@ LFCHECK_CACHE_FLAGS := $(if $(LFCHECK_CACHE),-cache $(LFCHECK_CACHE))
 # the scripted end-to-end version CI runs).
 ADDR ?= 127.0.0.1:11311
 BACKEND ?= skiplist
-# gc, rc or ebr
-MODE ?= rc
+# gc or ebr
+MODE ?= ebr
 CONNS ?= 64
 LOAD_DURATION ?= 10s
 PROTOCOL ?= text
@@ -98,7 +98,6 @@ bench-quick:
 
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzDictionarySemantics -fuzztime=$(FUZZTIME) ./internal/dict
-	$(GO) test -run='^$$' -fuzz=FuzzAllocFree -fuzztime=$(FUZZTIME) ./internal/buddy
 	$(GO) test -run='^$$' -fuzz=FuzzParseCommand -fuzztime=$(FUZZTIME) ./internal/proto
 	$(GO) test -run='^$$' -fuzz=FuzzReadReply -fuzztime=$(FUZZTIME) ./internal/proto
 	$(GO) test -run='^$$' -fuzz=FuzzCommandRoundTrip -fuzztime=$(FUZZTIME) ./internal/proto
@@ -137,7 +136,7 @@ durability:
 		-run 'TestCrashRestart|TestServerRecovery|TestServerSnapshot|TestServerPersistStats' \
 		./internal/server
 
-# chaos runs the fault-injection suite race-enabled: every backend ×
+# chaos runs the fault-injection suite race-enabled: every served backend ×
 # memory mode through the faultnet proxy with client histories checked
 # for wire-level linearizability, plus the deadline / max-conns / panic
 # hardening tests (DESIGN.md §8). Failures print the replay seed.

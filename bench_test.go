@@ -360,30 +360,6 @@ func BenchmarkManagedQueue(b *testing.B) {
 	}
 }
 
-func BenchmarkBuddyAllocFree(b *testing.B) {
-	for _, order := range []int{0, 4} {
-		b.Run("order="+strconv.Itoa(order), func(b *testing.B) {
-			alloc, err := valois.NewBuddyAllocator(16)
-			if err != nil {
-				b.Fatal(err)
-			}
-			size := 1 << order
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					off, ord, err := alloc.Alloc(size)
-					if err != nil {
-						continue
-					}
-					if err := alloc.Free(off, ord); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-		})
-	}
-}
-
 func sizeName(n int) string {
 	if n >= 1024 && n%1024 == 0 {
 		return "n=" + strconv.Itoa(n/1024) + "k"

@@ -1,9 +1,10 @@
 // Command valoisd serves the paper's §4 lock-free dictionaries over TCP
 // with the memcached-style text protocol and the RESP protocol of
 // internal/proto (auto-detected per connection by default). All keys live
-// in one dictionary instance; the backend structure and the §5 memory
-// mode are flags, so the same daemon compares every structure × mode
-// combination under real network load (see bench/).
+// in one dictionary instance; the backend structure (hash, skiplist or
+// bst) and the memory mode (gc or ebr) are flags, so the same daemon
+// compares every served structure × mode combination under real network
+// load (see bench/).
 //
 // Usage:
 //
@@ -59,7 +60,7 @@ func run(args []string, logw io.Writer, onReady func(net.Addr)) int {
 	var (
 		addr       = fs.String("addr", ":11311", "listen address")
 		backend    = fs.String("backend", server.BackendSkipList, "dictionary structure: "+strings.Join(server.Backends(), ", "))
-		mode       = fs.String("mode", "gc", "memory mode: gc, rc (§5 reference counts), or ebr (epoch-based reclamation)")
+		mode       = fs.String("mode", "gc", "memory mode: "+strings.Join(server.Modes(), ", ")+" (ebr: epoch-based reclamation)")
 		buckets    = fs.Int("buckets", 16384, "hash table bucket count (hash backend only)")
 		gomaxprocs = fs.Int("gomaxprocs", 0, "if > 0, set GOMAXPROCS")
 		idleTO     = fs.Duration("idle-timeout", server.DefaultIdleTimeout, "per-connection idle deadline (negative disables)")

@@ -42,7 +42,7 @@ func TestRunServesAndDrainsOnSIGTERM(t *testing.T) {
 	exit := make(chan int, 1)
 	go func() {
 		exit <- run(
-			[]string{"-addr", "127.0.0.1:0", "-backend", "skiplist", "-mode", "rc"},
+			[]string{"-addr", "127.0.0.1:0", "-backend", "skiplist", "-mode", "ebr"},
 			&logs,
 			func(a net.Addr) { ready <- a },
 		)
@@ -172,20 +172,28 @@ func TestRunPprofAndProtocol(t *testing.T) {
 func TestRunRejectsBadConfig(t *testing.T) {
 	tests := []struct {
 		args []string
-		want int // 2 = rejected by flag parsing, 1 = rejected by the server
+		want int    // 2 = rejected by flag parsing, 1 = rejected by the server
+		msg  string // if set, the log must contain it
 	}{
-		{[]string{"-backend", "btree"}, 1},
-		{[]string{"-mode", "arc"}, 1},
-		{[]string{"-addr", "256.0.0.1:bad"}, 1},
-		{[]string{"-protocol", "gopher"}, 1},
-		{[]string{"-nosuchflag"}, 2},
-		{[]string{"-batch=false"}, 2}, // batching is not optional
-		{[]string{"-shards", "4"}, 2}, // there is one dictionary, not a flag
+		{[]string{"-backend", "btree"}, 1, ""},
+		{[]string{"-mode", "arc"}, 1, ""},
+		// The single sorted list and §5 reference counts are not served:
+		// the server's unknown-value errors name what is.
+		{[]string{"-backend", "list"}, 1, `unknown backend "list" (want one of [hash skiplist bst])`},
+		{[]string{"-mode", "rc"}, 1, `unknown memory mode "rc" (want one of [gc ebr])`},
+		{[]string{"-addr", "256.0.0.1:bad"}, 1, ""},
+		{[]string{"-protocol", "gopher"}, 1, ""},
+		{[]string{"-nosuchflag"}, 2, ""},
+		{[]string{"-batch=false"}, 2, ""}, // batching is not optional
+		{[]string{"-shards", "4"}, 2, ""}, // there is one dictionary, not a flag
 	}
 	for _, tc := range tests {
 		var logs syncBuffer
 		if code := run(tc.args, &logs, nil); code != tc.want {
 			t.Errorf("run(%v) = %d, want %d", tc.args, code, tc.want)
+		}
+		if !strings.Contains(logs.String(), tc.msg) {
+			t.Errorf("run(%v) logged %q, want it to contain %q", tc.args, logs.String(), tc.msg)
 		}
 	}
 }

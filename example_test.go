@@ -154,14 +154,3 @@ func ExampleStack() {
 	// Output:
 	// 2
 }
-
-func ExampleBuddyAllocator() {
-	b, _ := valois.NewBuddyAllocator(10) // 1024 units
-	off, order, _ := b.Alloc(100)        // rounds up to 128 units
-	fmt.Println(off, order, b.FreeUnits())
-	b.Free(off, order)
-	fmt.Println(b.FreeUnits())
-	// Output:
-	// 0 7 896
-	// 1024
-}

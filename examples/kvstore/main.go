@@ -4,10 +4,10 @@
 // it through internal/client the way an external valoisd deployment would
 // be: readers issue GETs while writers insert and expire entries, every
 // connection multiplexing onto the same lock-free hash table, and the run
-// reports per-role throughput. The two memory modes are contrasted: GC
-// (Go's collector reclaims cells) and RC (the paper's §5 reference
-// counts reclaim them exactly — the final STATS line shows the exact
-// reclamation balance).
+// reports per-role throughput. The two served memory modes are
+// contrasted: GC (Go's collector reclaims cells) and EBR (epoch-based
+// reclamation recycles them through the §5 free list — the final STATS
+// lines show the allocation and reclamation balance).
 //
 // Run with:
 //
@@ -39,7 +39,7 @@ const (
 )
 
 func main() {
-	for _, mode := range []string{"gc", "rc", "ebr"} {
+	for _, mode := range server.Modes() {
 		if err := run(mode); err != nil {
 			log.Fatalf("kvstore [%s]: %v", mode, err)
 		}
@@ -160,8 +160,9 @@ func run(mode string) error {
 		float64(writes.Load())/runFor.Seconds(),
 		float64(evicts.Load())/runFor.Seconds())
 
-	// Under RC the STATS counters prove exact reclamation: every cell the
-	// evictions freed went back through the §5 free list.
+	// Under EBR the STATS counters show reclamation: cells the evictions
+	// retired go back through the §5 free list once their grace period
+	// ends, and mm_limbo counts those still waiting.
 	c, err := client.Dial(addr, client.Options{})
 	if err != nil {
 		return err
@@ -171,7 +172,7 @@ func run(mode string) error {
 	if err != nil {
 		return err
 	}
-	for _, name := range []string{"curr_items", "mm_allocs", "mm_reclaims", "mm_live"} {
+	for _, name := range []string{"curr_items", "mm_allocs", "mm_reclaims", "mm_live", "mm_limbo"} {
 		fmt.Printf("    %s = %s\n", name, stats[name])
 	}
 

@@ -1,76 +1,11 @@
 package valois_test
 
 import (
-	"errors"
 	"sync"
 	"testing"
 
 	"valois"
-	"valois/internal/buddy"
 )
-
-func TestBuddyAllocatorFacade(t *testing.T) {
-	b, err := valois.NewBuddyAllocator(6) // 64 units
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := b.Capacity(); got != 64 {
-		t.Fatalf("Capacity = %d, want 64", got)
-	}
-	off, order, err := b.Alloc(5) // rounds to order 3 (8 units)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if order != 3 {
-		t.Fatalf("order = %d, want 3", order)
-	}
-	if off%8 != 0 {
-		t.Fatalf("offset %d not aligned to 8", off)
-	}
-	if got := b.FreeUnits(); got != 64-8 {
-		t.Fatalf("FreeUnits = %d, want %d", got, 64-8)
-	}
-	if err := b.Free(off, order); err != nil {
-		t.Fatal(err)
-	}
-	if got := b.FreeUnits(); got != 64 {
-		t.Fatalf("FreeUnits after free = %d, want 64", got)
-	}
-	if _, _, err := b.Alloc(65); !errors.Is(err, buddy.ErrBadSize) {
-		t.Fatalf("oversized alloc error = %v, want ErrBadSize", err)
-	}
-	if _, err := valois.NewBuddyAllocator(-1); err == nil {
-		t.Fatal("negative maxOrder accepted")
-	}
-}
-
-func TestBuddyAllocatorConcurrent(t *testing.T) {
-	b, err := valois.NewBuddyAllocator(12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				off, order, err := b.Alloc(1 + (g+i)%13)
-				if err != nil {
-					continue
-				}
-				if err := b.Free(off, order); err != nil {
-					t.Errorf("free failed: %v", err)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if got := b.FreeUnits(); got != b.Capacity() {
-		t.Fatalf("FreeUnits = %d at quiescence, want %d", got, b.Capacity())
-	}
-}
 
 func TestManagedQueueFacade(t *testing.T) {
 	for _, mode := range []valois.MemoryMode{valois.GC, valois.RC} {
@@ -130,10 +65,4 @@ func TestManagedQueueConcurrent(t *testing.T) {
 		t.Fatalf("drained %d values, want %d", len(seen), producers*perP)
 	}
 	q.Close()
-}
-
-func TestMemoryModeString(t *testing.T) {
-	if valois.GC.String() != "gc" || valois.RC.String() != "rc" {
-		t.Fatalf("mode names = %q/%q, want gc/rc", valois.GC, valois.RC)
-	}
 }

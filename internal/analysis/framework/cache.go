@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // cacheSchema versions the on-disk entry format itself; bumping it orphans
@@ -76,7 +77,9 @@ type resultCache struct {
 	base     string // absolute loader base, for relativizing positions
 	suiteKey string // analyzer names+versions, part of every entry key
 	registry map[string]reflect.Type
-	hashes   map[string]string // contentHash memo, import path → hex
+
+	mu     sync.Mutex        // guards hashes: packages are analyzed in parallel
+	hashes map[string]string // contentHash memo, import path → hex
 }
 
 func newResultCache(dir string, ld *Loader, analyzers []*Analyzer) (*resultCache, error) {
@@ -113,8 +116,11 @@ func newResultCache(dir string, ld *Loader, analyzers []*Analyzer) (*resultCache
 // dependency closure's. It is role- and suite-independent: one package has
 // one content hash per source state.
 func (c *resultCache) contentHash(path string) (string, error) {
-	if h, ok := c.hashes[path]; ok {
-		return h, nil
+	c.mu.Lock()
+	sum, ok := c.hashes[path]
+	c.mu.Unlock()
+	if ok {
+		return sum, nil
 	}
 	m := c.ld.meta[path]
 	if m == nil {
@@ -137,8 +143,10 @@ func (c *resultCache) contentHash(path string) (string, error) {
 		}
 		fmt.Fprintf(h, "dep %s %s\n", dep, dh)
 	}
-	sum := hex.EncodeToString(h.Sum(nil))
+	sum = hex.EncodeToString(h.Sum(nil))
+	c.mu.Lock()
 	c.hashes[path] = sum
+	c.mu.Unlock()
 	return sum, nil
 }
 

@@ -62,10 +62,26 @@ func (h *Hash[K, V]) Delete(key K) bool { return h.bucket(key).Delete(key) }
 // Len reports the total number of items across buckets (a snapshot).
 func (h *Hash[K, V]) Len() int {
 	n := 0
-	for _, b := range h.buckets {
-		n += b.Len()
-	}
+	h.Range(func(K, V) bool { n++; return true })
 	return n
+}
+
+// Range calls f for each item until f returns false, in bucket order:
+// bucket by bucket, each in ascending key order, so keys are not
+// globally sorted. Each bucket is a SortedList scan, with its guarantees:
+// items present for the whole traversal are observed, concurrent
+// insertions and deletions may or may not be.
+func (h *Hash[K, V]) Range(f func(key K, value V) bool) {
+	cont := true
+	for _, b := range h.buckets {
+		b.Range(func(k K, v V) bool {
+			cont = f(k, v)
+			return cont
+		})
+		if !cont {
+			return
+		}
+	}
 }
 
 // MemStats returns the allocation counters of the §5 memory manager all
@@ -95,11 +111,7 @@ func (h *Hash[K, V]) Bucket(i int) *SortedList[K, V] {
 	return h.buckets[i%len(h.buckets)]
 }
 
-// NumBuckets reports the fixed bucket count. Together with Bucket it
-// lets callers iterate the whole table bucket by bucket — each bucket is
-// a sorted list whose cursor scan is lock-free, which is how the
-// durability layer snapshots a hash-backed server (keys arrive grouped by
-// bucket, not globally sorted).
+// NumBuckets reports the fixed bucket count.
 func (h *Hash[K, V]) NumBuckets() int { return len(h.buckets) }
 
 // EnableTorture enables interleaving torture on every bucket; see

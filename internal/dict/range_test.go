@@ -92,3 +92,35 @@ func TestSortedListRangeFrom(t *testing.T) {
 		t.Fatalf("RangeFrom(30) keys = %v, want [30 40 50] (inclusive start)", keys)
 	}
 }
+
+// TestHashRangeVisitsEveryItemOnce: the hash's Range is bucket order, not
+// key order, but it reports every live item exactly once, skips deleted
+// ones, stops when f returns false, and agrees with Len.
+func TestHashRangeVisitsEveryItemOnce(t *testing.T) {
+	for _, mode := range []mm.Mode{mm.ModeGC, mm.ModeEBR} {
+		h := NewHash[int, int](8, mode, HashInt)
+		for k := 0; k < 100; k++ {
+			h.Insert(k, 2*k)
+		}
+		for k := 0; k < 100; k += 3 {
+			h.Delete(k)
+		}
+		seen := make(map[int]bool)
+		h.Range(func(k, v int) bool {
+			if seen[k] || v != 2*k || k%3 == 0 {
+				t.Fatalf("%s: Range reported %d=%d (seen before: %v)", mode, k, v, seen[k])
+			}
+			seen[k] = true
+			return true
+		})
+		if len(seen) != 66 || h.Len() != 66 {
+			t.Fatalf("%s: Range saw %d items, Len = %d; want 66", mode, len(seen), h.Len())
+		}
+		n := 0
+		h.Range(func(int, int) bool { n++; return n < 5 })
+		if n != 5 {
+			t.Fatalf("%s: Range called f %d times after it returned false at 5", mode, n)
+		}
+		h.Close()
+	}
+}

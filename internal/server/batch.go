@@ -66,7 +66,7 @@ func (s *Server) execKeyed(e *batchEntry) {
 	switch e.cmd.Verb {
 	case proto.VerbGet:
 		s.cmdGet.Add(1)
-		if v, ok := s.store.d.Find(e.cmd.Key); ok {
+		if v, ok := s.store.Find(e.cmd.Key); ok {
 			s.getHits.Add(1)
 			e.val, e.found = v, true
 		} else {
@@ -75,7 +75,7 @@ func (s *Server) execKeyed(e *batchEntry) {
 
 	case proto.VerbSet:
 		s.cmdSet.Add(1)
-		s.store.d.Upsert(e.cmd.Key, e.cmd.Value)
+		s.store.Upsert(e.cmd.Key, e.cmd.Value)
 		if s.log != nil {
 			if err := s.log.Append(e.cmd); err != nil {
 				s.persistErrs.Add(1)
@@ -86,7 +86,7 @@ func (s *Server) execKeyed(e *batchEntry) {
 
 	case proto.VerbDelete:
 		s.cmdDelete.Add(1)
-		deleted := s.store.d.Delete(e.cmd.Key)
+		deleted := s.store.Delete(e.cmd.Key)
 		e.found = deleted
 		if deleted {
 			s.deleteHits.Add(1)

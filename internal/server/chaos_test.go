@@ -1,9 +1,9 @@
 package server_test
 
 // Chaos suite: the whole serving stack — client, wire protocol, hardened
-// server, every §4 backend under both §5 memory modes — driven through
-// the internal/faultnet proxy while a wire-level history is recorded and
-// checked for linearizability against the KV specification
+// server, every served §4 backend under each served memory mode — driven
+// through the internal/faultnet proxy while a wire-level history is
+// recorded and checked for linearizability against the KV specification
 // (linearize.CheckKV). Faults are derived deterministically from the
 // seed, so every failure report names the exact subtest to re-run.
 //
@@ -41,6 +41,24 @@ import (
 // fault schedule, so re-running the subtest named in a failure report
 // reproduces it.
 var chaosSeeds = []int64{1, 2, 3, 5, 8, 13, 21, 34}
+
+// matrixMode picks the memory mode for the chaos or crash-restart cell at
+// rotation position pos, seed index si. Positions cycle over three slots:
+// the first served mode, a spare slot that takes each served mode in turn
+// by seed, and the last served mode, so every backend runs every served
+// mode. The rotation is fixed, not sized to server.Modes(), so a cell keeps
+// its subtest name — the replay handle in failure reports — when the set
+// of served modes changes.
+func matrixMode(pos, si int) string {
+	modes := server.Modes()
+	switch pos % 3 {
+	case 0:
+		return modes[0]
+	case 2:
+		return modes[len(modes)-1]
+	}
+	return modes[si%len(modes)]
+}
 
 const (
 	chaosKeys      = 32
@@ -113,20 +131,19 @@ func dialChaos(addr, protocol string) (*client.Client, error) {
 }
 
 func TestChaosLinearizable(t *testing.T) {
-	modes := []string{"gc", "rc", "ebr"}
 	for bi, backend := range server.Backends() {
 		for si, seed := range chaosSeeds {
-			// Alternate so each backend runs all three memory modes (gc,
-			// §5 reference counts, epoch-based reclamation) across the
-			// seed matrix.
-			mode := modes[(bi+si)%3]
+			// One position ahead of the crash-restart matrix, so the two
+			// suites put most (backend, seed) cells under different modes.
+			mode := matrixMode(bi+1+si, si)
 			t.Run(fmt.Sprintf("%s-%s-seed%d", backend, mode, seed), func(t *testing.T) {
 				runChaos(t, backend, mode, seed, chaosOps)
 			})
 		}
-		// The hot-key arm (see hotKeyOps), once per memory mode.
-		for mi, mode := range modes {
-			seed := chaosSeeds[(bi+mi)%len(chaosSeeds)]
+		// The hot-key arm (see hotKeyOps), once per memory mode, on
+		// seeds two apart.
+		for mi, mode := range server.Modes() {
+			seed := chaosSeeds[(bi+1+2*mi)%len(chaosSeeds)]
 			t.Run(fmt.Sprintf("%s-%s-seed%d-hotkey", backend, mode, seed), func(t *testing.T) {
 				runChaos(t, backend, mode, seed, hotKeyOps)
 			})

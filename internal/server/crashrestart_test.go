@@ -15,10 +15,10 @@ package server_test
 // mutation is only the user-space buffer between apply and flush. See
 // DESIGN.md §10 for the one anomaly that window admits.
 //
-// The matrix mirrors the chaos suite: the ordered backends × the seed
-// replay matrix, alternating gc/rc, with background snapshot compaction
-// enabled on every other seed so recovery exercises both the pure-AOF
-// and the snapshot+tail paths.
+// The matrix mirrors the chaos suite: the served backends × the seed
+// replay matrix, rotating over the served memory modes (matrixMode), with
+// background snapshot compaction enabled on every other seed so recovery
+// exercises both the pure-AOF and the snapshot+tail paths.
 
 import (
 	"bytes"
@@ -178,10 +178,9 @@ func dialDirect(addr, protocol string) (*client.Client, error) {
 
 func TestCrashRestartLinearizable(t *testing.T) {
 	bin := buildValoisd(t)
-	ordered := []string{server.BackendList, server.BackendSkipList, server.BackendBST}
-	for bi, backend := range ordered {
+	for bi, backend := range server.Backends() {
 		for si, seed := range chaosSeeds {
-			mode := []string{"gc", "rc", "ebr"}[(bi+si)%3]
+			mode := matrixMode(bi+si, si)
 			snapshots := si%2 == 1
 			t.Run(fmt.Sprintf("%s-%s-seed%d", backend, mode, seed), func(t *testing.T) {
 				runCrashRestart(t, bin, backend, mode, seed, snapshots)

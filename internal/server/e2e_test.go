@@ -14,35 +14,27 @@ import (
 
 // TestE2EMixedWorkloadOracle drives a live loopback server from many
 // client goroutines with a mixed get/set/delete workload and verifies the
-// final contents against a mutex-protected map oracle, for every backend
-// under both memory modes. Each goroutine owns a disjoint key range, so
-// per-key operation order is sequential and the oracle is exact; the
-// goroutines still collide inside the one lock-free dictionary, which is
-// the concurrency under test. Iteration counts respect the
-// VALOIS_STRESS_DIV divisor so the race-detector CI run stays fast.
+// final contents against a mutex-protected map oracle, for every served
+// backend under each served memory mode. Each goroutine owns a disjoint
+// key range, so per-key operation order is sequential and the oracle is
+// exact; the goroutines still collide inside the one lock-free
+// dictionary, which is the concurrency under test. Iteration counts
+// respect the VALOIS_STRESS_DIV divisor so the race-detector CI run stays
+// fast.
 func TestE2EMixedWorkloadOracle(t *testing.T) {
-	backends := []struct {
-		name string
-		keys int // per-goroutine key range (the list backend is O(n))
-	}{
-		{server.BackendSkipList, 96},
-		{server.BackendHash, 96},
-		{server.BackendBST, 96},
-		{server.BackendList, 24},
-	}
-	for _, b := range backends {
-		for _, mode := range []string{"gc", "rc", "ebr"} {
-			t.Run(b.name+"/"+mode, func(t *testing.T) {
-				runOracle(t, server.Config{Backend: b.name, Mode: mode, Buckets: 32}, b.keys)
+	for _, backend := range server.Backends() {
+		for _, mode := range server.Modes() {
+			t.Run(backend+"/"+mode, func(t *testing.T) {
+				runOracle(t, server.Config{Backend: backend, Mode: mode, Buckets: 32})
 			})
 		}
 	}
 }
 
-func runOracle(t *testing.T, cfg server.Config, keysPerG int) {
+func runOracle(t *testing.T, cfg server.Config) {
 	srv, addr := startServer(t, cfg)
 
-	const goroutines = 8
+	const goroutines, keysPerG = 8, 96
 	ops := testenv.Iters(600)
 
 	var (

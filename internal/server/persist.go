@@ -61,9 +61,9 @@ func (s *Server) openPersist() error {
 func (s *Server) applyRecovered(cmd proto.Command) error {
 	switch cmd.Verb {
 	case proto.VerbSet:
-		s.store.d.Upsert(cmd.Key, cmd.Value)
+		s.store.Upsert(cmd.Key, cmd.Value)
 	case proto.VerbDelete:
-		s.store.d.Delete(cmd.Key)
+		s.store.Delete(cmd.Key)
 	default:
 		return fmt.Errorf("server: log record with non-mutation verb %s", cmd.Verb)
 	}
@@ -72,10 +72,10 @@ func (s *Server) applyRecovered(cmd proto.Command) error {
 
 // Snapshot runs one snapshot compaction cycle: rotate the AOF, then
 // stream the live bindings into the snapshot file via the backend's
-// lock-free cursor scan (RangeFrom; the hash backend scans bucket by
-// bucket), and atomically install it. Writers are never
-// blocked — the scan starts after the rotation, which is exactly the
-// consistency contract persist.StartSnapshot documents.
+// lock-free cursor scan (Range; the hash backend scans bucket by bucket),
+// and atomically install it. Writers are never blocked — the scan starts
+// after the rotation, which is exactly the consistency contract
+// persist.StartSnapshot documents.
 func (s *Server) Snapshot() error {
 	if s.log == nil {
 		return errors.New("server: persistence not enabled")
@@ -85,7 +85,7 @@ func (s *Server) Snapshot() error {
 		return err
 	}
 	var addErr error
-	s.store.snap(func(k string, v []byte) bool {
+	s.store.Range(func(k string, v []byte) bool {
 		addErr = sw.Add(k, v)
 		return addErr == nil
 	})

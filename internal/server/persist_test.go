@@ -73,7 +73,7 @@ func statInt(t *testing.T, stats map[string]string, name string) int {
 // acknowledged, nothing more.
 func TestServerRecovery(t *testing.T) {
 	for _, backend := range server.Backends() {
-		for _, mode := range []string{"gc", "rc", "ebr"} {
+		for _, mode := range server.Modes() {
 			t.Run(backend+"/"+mode, func(t *testing.T) {
 				dir := t.TempDir()
 				cfg := server.Config{
@@ -277,7 +277,7 @@ func TestServerSnapshotWhileServing(t *testing.T) {
 func TestServerSnapshotIntervalLoop(t *testing.T) {
 	base := goroutineBaseline()
 	cfg := server.Config{
-		Backend: server.BackendList, Mode: "rc",
+		Backend: server.BackendHash, Mode: "ebr",
 		PersistDir: t.TempDir(), FsyncPolicy: "everysec",
 		SnapshotInterval: 10 * time.Millisecond,
 	}

@@ -35,7 +35,7 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 
 func (s *Server) put(keys ...string) {
 	for _, k := range keys {
-		s.store.d.Upsert(k, []byte("v:"+k))
+		s.store.Upsert(k, []byte("v:"+k))
 	}
 }
 
@@ -72,17 +72,14 @@ func checkAgainstModel(t *testing.T, s *Server, keys []string, start string, cou
 	}
 }
 
-var (
-	orderedBackends = []string{BackendList, BackendSkipList, BackendBST}
-	memoryModes     = []string{"gc", "rc", "ebr"}
-)
+var orderedBackends = []string{BackendSkipList, BackendBST}
 
 func TestRangeMergedMatchesModel(t *testing.T) {
 	for _, backend := range orderedBackends {
 		t.Run(backend, func(t *testing.T) {
 			forModes := func(name string, f func(t *testing.T, mode string)) {
 				t.Run(name, func(t *testing.T) {
-					for _, mode := range memoryModes {
+					for _, mode := range Modes() {
 						t.Run(mode, func(t *testing.T) { f(t, mode) })
 					}
 				})
@@ -137,14 +134,14 @@ func TestRangeMergedMatchesModel(t *testing.T) {
 	}
 }
 
-// countingOrdered counts the items the backend's scan hands to RANGE.
-type countingOrdered struct {
-	ordered
+// countingStore counts the items the backend's scan hands to RANGE.
+type countingStore struct {
+	store
 	visited *int
 }
 
-func (c countingOrdered) RangeFrom(start string, f func(string, []byte) bool) {
-	c.ordered.RangeFrom(start, func(k string, v []byte) bool {
+func (c countingStore) RangeFrom(start string, f func(string, []byte) bool) {
+	c.store.(ordered).RangeFrom(start, func(k string, v []byte) bool {
 		*c.visited++
 		return f(k, v)
 	})
@@ -161,7 +158,7 @@ func TestRangeMergedVisitsBounded(t *testing.T) {
 			s.put(fmt.Sprintf("key-%05d", i))
 		}
 		visited := 0
-		s.store.ord = countingOrdered{s.store.ord, &visited}
+		s.store = countingStore{s.store, &visited}
 		rng := rand.New(rand.NewSource(1))
 		for i := 0; i < 50; i++ {
 			start := fmt.Sprintf("key-%05d", rng.Intn(keys-count))
@@ -213,79 +210,79 @@ func TestRangeMergedAllocs(t *testing.T) {
 // and misses no key that stayed bound throughout and sorts before the
 // reply's last key.
 func TestRangeMergedUnderChurn(t *testing.T) {
-	for _, tc := range []struct{ backend, mode string }{
-		{BackendList, "gc"}, {BackendSkipList, "gc"}, {BackendSkipList, "rc"}, {BackendSkipList, "ebr"}, {BackendBST, "gc"},
-	} {
-		t.Run(tc.backend+"-"+tc.mode, func(t *testing.T) {
-			s := newTestServer(t, Config{Backend: tc.backend, Mode: tc.mode})
-			const space = 512
-			key := func(i int) string { return fmt.Sprintf("k%04d", i) }
-			stable := func(i int) bool { return i%4 == 0 } // never written after the fill
-			for i := 0; i < space; i++ {
-				if stable(i) || i%2 == 0 {
-					s.put(key(i))
+	for _, backend := range orderedBackends {
+		for _, mode := range Modes() {
+			t.Run(backend+"-"+mode, func(t *testing.T) {
+				s := newTestServer(t, Config{Backend: backend, Mode: mode})
+				const space = 512
+				key := func(i int) string { return fmt.Sprintf("k%04d", i) }
+				stable := func(i int) bool { return i%4 == 0 } // never written after the fill
+				for i := 0; i < space; i++ {
+					if stable(i) || i%2 == 0 {
+						s.put(key(i))
+					}
 				}
-			}
 
-			const writers = 3 // writer w owns the keys with i%4 == w+1
-			stop := make(chan struct{})
-			var wg sync.WaitGroup
-			for w := 0; w < writers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(int64(w)))
-					for {
-						select {
-						case <-stop:
-							return
-						default:
+				const writers = 3 // writer w owns the keys with i%4 == w+1
+				stop := make(chan struct{})
+				var wg sync.WaitGroup
+				for w := 0; w < writers; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						rng := rand.New(rand.NewSource(int64(w)))
+						for {
+							select {
+							case <-stop:
+								return
+							default:
+							}
+							i := rng.Intn(space)
+							if i%4 != w+1 {
+								continue
+							}
+							if k := key(i); rng.Intn(2) == 0 {
+								s.put(k)
+							} else {
+								s.store.Delete(k)
+							}
 						}
-						i := rng.Intn(space)
-						if i%4 != w+1 {
-							continue
-						}
-						if k := key(i); rng.Intn(2) == 0 {
-							s.put(k)
-						} else {
-							s.store.d.Delete(k)
-						}
-					}
-				}(w)
-			}
+					}(w)
+				}
 
-			rng := rand.New(rand.NewSource(99))
-			deadline := time.Now().Add(testenv.Duration(300 * time.Millisecond))
-			for rounds := 0; rounds < 20 || time.Now().Before(deadline); rounds++ {
-				from, count := rng.Intn(space), 1+rng.Intn(48)
-				start := key(from)
-				got := s.rangeFrom(start, count)
-				if len(got) > count {
-					t.Fatalf("rangeFrom(%q, %d) returned %d items", start, count, len(got))
-				}
-				for i, it := range got {
-					if it.key < start || (i > 0 && it.key <= got[i-1].key) {
-						t.Fatalf("rangeFrom(%q, %d): item %d = %q after %q", start, count, i, it.key, got[max(i-1, 0)].key)
+				rng := rand.New(rand.NewSource(99))
+				deadline := time.Now().Add(testenv.Duration(300 * time.Millisecond))
+				for rounds := 0; rounds < 20 || time.Now().Before(deadline); rounds++ {
+					from, count := rng.Intn(space), 1+rng.Intn(48)
+					start := key(from)
+					got := s.rangeFrom(start, count)
+					if len(got) > count {
+						t.Fatalf("rangeFrom(%q, %d) returned %d items", start, count, len(got))
+					}
+					for i, it := range got {
+						if it.key < start || (i > 0 && it.key <= got[i-1].key) {
+							t.Fatalf("rangeFrom(%q, %d): item %d = %q after %q", start, count, i, it.key, got[max(i-1, 0)].key)
+						}
+					}
+					// Below the last key returned (or everywhere, when the
+					// reply was not cut by count) no stable key is missing.
+					end := key(space)
+					if len(got) == count {
+						end = got[count-1].key
+					}
+					returned := make(map[string]bool, len(got))
+					for _, it := range got {
+						returned[it.key] = true
+					}
+					for i := from; i < space && key(i) < end; i++ {
+						if stable(i) && !returned[key(i)] {
+							t.Fatalf("rangeFrom(%q, %d) missed stable key %q below %q", start, count, key(i), end)
+						}
 					}
 				}
-				// Below the last key returned (or everywhere, when the
-				// reply was not cut by count) no stable key is missing.
-				end := key(space)
-				if len(got) == count {
-					end = got[count-1].key
-				}
-				returned := make(map[string]bool, len(got))
-				for _, it := range got {
-					returned[it.key] = true
-				}
-				for i := from; i < space && key(i) < end; i++ {
-					if stable(i) && !returned[key(i)] {
-						t.Fatalf("rangeFrom(%q, %d) missed stable key %q below %q", start, count, key(i), end)
-					}
-				}
-			}
-			close(stop)
-			wg.Wait()
-		})
+				close(stop)
+				wg.Wait()
+			})
+		}
 	}
 }

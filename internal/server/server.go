@@ -8,10 +8,10 @@
 //
 // Two wire protocols from internal/proto are served, the memcached-style
 // text protocol and RESP, detected per connection (Config.Protocol).
-// The backend structure (sorted list, hash table, skip list, or BST) and
-// the memory mode (gc, rc — §5 — or ebr) are chosen at construction,
-// making the server a network-facing harness for comparing the paper's
-// structures under real socket-driven load (bench/).
+// The backend structure (hash table, skip list, or BST) and the memory
+// mode (gc or ebr) are chosen at construction, making the server a
+// network-facing harness for comparing the paper's structures under real
+// socket-driven load (bench/).
 package server
 
 import (
@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,7 +39,6 @@ var ErrServerClosed = errors.New("server: closed")
 
 // Backend names a dictionary structure from §4 of the paper.
 const (
-	BackendList     = "list"     // §4.1 single sorted lock-free list
 	BackendHash     = "hash"     // §4.1 hash table of sorted lists
 	BackendSkipList = "skiplist" // §4.1 lock-free skip list
 	BackendBST      = "bst"      // §4.2 binary search tree with aux nodes
@@ -46,16 +46,24 @@ const (
 
 // Backends lists the valid Config.Backend values.
 func Backends() []string {
-	return []string{BackendList, BackendHash, BackendSkipList, BackendBST}
+	return []string{BackendHash, BackendSkipList, BackendBST}
+}
+
+// Modes lists the valid Config.Mode values: the Go collector, and
+// epoch-based reclamation over the §5 free list. The paper's §5
+// reference counts (mm.ModeRC) are not served: they pay a SafeRead per
+// hop that epochs remove.
+func Modes() []string {
+	return []string{"gc", "ebr"}
 }
 
 // Config parameterizes a Server.
 type Config struct {
 	// Backend selects the §4 structure the server stores its keys in:
-	// "list", "hash", "skiplist" (default), or "bst".
+	// "hash", "skiplist" (default), or "bst".
 	Backend string
-	// Mode selects cell reclamation: "gc" (default), "rc" (§5), or
-	// "ebr" (epoch-based reclamation over the §5 free list).
+	// Mode selects cell reclamation: "gc" (default) or "ebr"
+	// (epoch-based reclamation over the §5 free list).
 	Mode string
 	// Buckets is the hash backend's bucket count. Default 16384.
 	Buckets int
@@ -115,24 +123,26 @@ const (
 	DefaultWriteTimeout = 30 * time.Second
 )
 
-// ordered is the iteration surface shared by the three ordered backends;
-// the hash backend does not provide it and RANGE is rejected there.
+// ordered is the iteration surface of the skip list and the tree; the
+// hash backend does not provide it and RANGE is rejected there.
 type ordered interface {
 	RangeFrom(start string, f func(key string, value []byte) bool)
 }
 
-// store is the server's one dictionary instance.
-type store struct {
-	d     dict.Dictionary[string, []byte]
-	ord   ordered         // nil for the hash backend
-	mem   func() mm.Stats // §5 manager counters
-	size  func() int      // snapshot item count
-	close func()          // release cells (required under RC)
-
-	// snap streams the live bindings through emit (stopping when emit
-	// returns false) via the backend's lock-free cursor scan; the hash
-	// backend iterates bucket by bucket.
-	snap func(emit func(key string, value []byte) bool)
+// store is the server's one dictionary instance: the part of the §4
+// dictionary (dict.Dictionary) the server calls, and the surface every
+// served backend adds to it.
+type store interface {
+	Find(key string) ([]byte, bool)
+	Upsert(key string, value []byte)
+	Delete(key string) bool
+	// Range streams the live bindings through f until f returns false —
+	// the snapshot scan. Order is the backend's own (bucket order for
+	// the hash backend); a snapshot is a set of SET records.
+	Range(f func(key string, value []byte) bool)
+	Len() int
+	MemStats() mm.Stats // §5 manager counters
+	Close()
 }
 
 // logStripes is the number of ordering locks (see Server.logMu).
@@ -230,10 +240,10 @@ func New(cfg Config) (*Server, error) {
 	default:
 		return nil, fmt.Errorf("server: unknown protocol %q (want text, resp, or auto)", cfg.Protocol)
 	}
-	mode, ok := mm.ParseMode(cfg.Mode)
-	if !ok {
-		return nil, fmt.Errorf("server: unknown memory mode %q (want gc, rc, or ebr)", cfg.Mode)
+	if !slices.Contains(Modes(), cfg.Mode) {
+		return nil, fmt.Errorf("server: unknown memory mode %q (want one of %v)", cfg.Mode, Modes())
 	}
+	mode, _ := mm.ParseMode(cfg.Mode)
 	st, err := newStore(cfg, mode)
 	if err != nil {
 		return nil, err
@@ -248,7 +258,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.PersistDir != "" {
 		if err := s.openPersist(); err != nil {
-			s.store.close()
+			s.store.Close()
 			return nil, err
 		}
 	}
@@ -257,52 +267,22 @@ func New(cfg Config) (*Server, error) {
 
 func newStore(cfg Config, mode mm.Mode) (store, error) {
 	switch cfg.Backend {
-	case BackendList:
-		d := dict.NewSortedList[string, []byte](mode)
-		return store{d: d, ord: d, snap: snapOrdered(d), mem: d.MemStats, size: d.Len, close: d.Close}, nil
 	case BackendHash:
-		d := dict.NewHash[string, []byte](cfg.Buckets, mode, dict.HashString)
-		return store{d: d, snap: snapHash(d), mem: d.MemStats, size: d.Len, close: d.Close}, nil
+		return dict.NewHash[string, []byte](cfg.Buckets, mode, dict.HashString), nil
 	case BackendSkipList:
-		d := skiplist.New[string, []byte](mode)
-		return store{d: d, ord: d, snap: snapOrdered(d), mem: d.MemStats, size: d.Len, close: d.Close}, nil
+		return skiplist.New[string, []byte](mode), nil
 	case BackendBST:
-		d := bst.New[string, []byte](mode)
-		return store{d: d, ord: d, snap: snapOrdered(d), mem: d.MemStats, size: d.Len, close: d.Close}, nil
+		return bst.New[string, []byte](mode), nil
 	default:
-		return store{}, fmt.Errorf("server: unknown backend %q (want one of %v)", cfg.Backend, Backends())
-	}
-}
-
-// snapOrdered scans an ordered backend from the smallest key — one
-// traversal-consistent cursor walk (Fig 12/13 cursor plumbing).
-func snapOrdered(o ordered) func(func(string, []byte) bool) {
-	return func(emit func(string, []byte) bool) {
-		o.RangeFrom("", emit)
-	}
-}
-
-// snapHash scans the hash backend bucket by bucket; each bucket is a
-// sorted list with the same cursor-scan guarantees, so the snapshot is
-// per-bucket consistent (global order across buckets is irrelevant — the
-// snapshot is a set of SET records).
-func snapHash(h *dict.Hash[string, []byte]) func(func(string, []byte) bool) {
-	return func(emit func(string, []byte) bool) {
-		for i := 0; i < h.NumBuckets(); i++ {
-			cont := true
-			h.Bucket(i).RangeFrom("", func(k string, v []byte) bool {
-				cont = emit(k, v)
-				return cont
-			})
-			if !cont {
-				return
-			}
-		}
+		return nil, fmt.Errorf("server: unknown backend %q (want one of %v)", cfg.Backend, Backends())
 	}
 }
 
 // Ordered reports whether the configured backend supports RANGE.
-func (s *Server) Ordered() bool { return s.store.ord != nil }
+func (s *Server) Ordered() bool {
+	_, ok := s.store.(ordered)
+	return ok
+}
 
 // Recovery reports what New recovered from PersistDir (zero value when
 // persistence is disabled or the directory was empty).
@@ -428,7 +408,7 @@ func (s *Server) removeConn(c *conn) {
 // connections immediately, and waits for all handlers to drain. If ctx
 // expires first, remaining connections are closed forcibly and ctx's error
 // is returned. After the handlers drain the dictionary is closed, returning
-// its cells to the §5 manager (observable as mm_reclaims under RC).
+// its cells to the §5 manager.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.closing = true
@@ -462,7 +442,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// fsyncs, so a graceful shutdown loses nothing even under fsync=no.
 	s.stopSnapshots()
 	s.closeStore.Do(func() {
-		s.store.close()
+		s.store.Close()
 		if s.log != nil {
 			if cerr := s.log.Close(); cerr != nil && err == nil {
 				err = cerr
@@ -485,7 +465,7 @@ func (s *Server) Stats() []Stat {
 	currConns := len(s.conns)
 	s.mu.Unlock()
 
-	mem := s.store.mem()
+	mem := s.store.MemStats()
 
 	n := func(v int64) string { return fmt.Sprintf("%d", v) }
 	stats := []Stat{
@@ -517,7 +497,7 @@ func (s *Server) Stats() []Stat {
 		{"conn_resets", n(s.connResets.Load())},
 		{"conn_rejected", n(s.connRejected.Load())},
 		{"conn_panics", n(s.connPanics.Load())},
-		{"curr_items", n(int64(s.store.size()))},
+		{"curr_items", n(int64(s.store.Len()))},
 		{"mm_allocs", n(mem.Allocs)},
 		{"mm_reclaims", n(mem.Reclaims)},
 		{"mm_live", n(mem.Live())},
@@ -531,7 +511,7 @@ func (s *Server) Stats() []Stat {
 		{"mm_grows", n(mem.Grows)},
 		{"mm_steals", n(mem.Steals)},
 		{"mm_stripes", n(int64(mem.Stripes))},
-		// Epoch-based reclamation gauges (zero under gc and rc): the
+		// Epoch-based reclamation gauges (zero under gc): the
 		// manager's current epoch and its limbo population.
 		{"mm_epoch", n(mem.Epoch)},
 		{"mm_limbo", n(mem.Limbo)},
@@ -547,7 +527,7 @@ func (s *Server) Stats() []Stat {
 // found, never from the client's count.
 func (s *Server) rangeFrom(start string, count int) []kv {
 	var items []kv
-	s.store.ord.RangeFrom(start, func(k string, v []byte) bool {
+	s.store.(ordered).RangeFrom(start, func(k string, v []byte) bool {
 		items = append(items, kv{k, v})
 		return len(items) < count
 	})

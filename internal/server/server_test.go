@@ -70,7 +70,7 @@ func protoFor(i int) string {
 
 func TestServerBasicOps(t *testing.T) {
 	for _, backend := range server.Backends() {
-		for _, mode := range []string{"gc", "rc", "ebr"} {
+		for _, mode := range server.Modes() {
 			for _, protocol := range []string{proto.ProtocolText, proto.ProtocolRESP} {
 				t.Run(backend+"/"+mode+"/"+protocol, func(t *testing.T) {
 					_, addr := startServer(t, server.Config{Backend: backend, Mode: mode, Buckets: 64})
@@ -166,7 +166,7 @@ func TestServerStats(t *testing.T) {
 }
 
 func testServerStats(t *testing.T, protocol string) {
-	_, addr := startServer(t, server.Config{Backend: server.BackendList, Mode: "rc"})
+	_, addr := startServer(t, server.Config{Backend: server.BackendHash, Mode: "ebr"})
 	c := dialTestProto(t, addr, protocol)
 	for i := 0; i < 10; i++ {
 		if err := c.Set(fmt.Sprintf("k%d", i), []byte("v")); err != nil {
@@ -182,8 +182,8 @@ func testServerStats(t *testing.T, protocol string) {
 		t.Fatalf("Stats: %v", err)
 	}
 	want := map[string]string{
-		"backend":          "list",
-		"mode":             "rc",
+		"backend":          "hash",
+		"mode":             "ebr",
 		"curr_items":       "9",
 		"cmd_set":          "10",
 		"get_hits":         "1",
@@ -196,17 +196,43 @@ func testServerStats(t *testing.T, protocol string) {
 			t.Errorf("stats[%q] = %q, want %q", k, stats[k], v)
 		}
 	}
-	// §5 manager counters: RC reclaims the deleted key's cells.
+	// §5 manager counters: the deleted key's cell was retired, so under
+	// ebr it is waiting in limbo or already reclaimed.
 	if stats["mm_allocs"] == "0" || stats["mm_allocs"] == "" {
 		t.Errorf("mm_allocs = %q, want > 0", stats["mm_allocs"])
 	}
-	if stats["mm_reclaims"] == "0" || stats["mm_reclaims"] == "" {
-		t.Errorf("mm_reclaims = %q under rc after a delete, want > 0", stats["mm_reclaims"])
+	if statInt(t, stats, "mm_limbo")+statInt(t, stats, "mm_reclaims") == 0 {
+		t.Errorf("mm_limbo = %q, mm_reclaims = %q under ebr after a delete, want one > 0", stats["mm_limbo"], stats["mm_reclaims"])
 	}
 	// One dictionary: no shard count, no per-shard item lines.
 	for name := range stats {
 		if strings.HasPrefix(name, "shard") {
 			t.Errorf("stats[%q] = %q: the shard lines should be gone", name, stats[name])
+		}
+	}
+}
+
+// TestNewRejectsUnservedConfig: the paper's single sorted list and its §5
+// reference counts are not served; New rejects them, and made-up names,
+// with errors that list the valid values.
+func TestNewRejectsUnservedConfig(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  server.Config
+		want string
+	}{
+		{server.Config{Backend: "list"}, fmt.Sprint(server.Backends())},
+		{server.Config{Backend: "btree"}, fmt.Sprint(server.Backends())},
+		{server.Config{Mode: "rc"}, fmt.Sprint(server.Modes())},
+		{server.Config{Mode: "arc"}, fmt.Sprint(server.Modes())},
+	} {
+		srv, err := server.New(tc.cfg)
+		if err == nil {
+			srv.Shutdown(context.Background())
+			t.Errorf("New(backend=%q mode=%q) succeeded, want an error", tc.cfg.Backend, tc.cfg.Mode)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("New(backend=%q mode=%q) error %q does not list %s", tc.cfg.Backend, tc.cfg.Mode, err, tc.want)
 		}
 	}
 }

@@ -22,7 +22,7 @@ import (
 
 func TestWireLinearizable(t *testing.T) {
 	for bi, backend := range server.Backends() {
-		for mi, mode := range []string{"gc", "rc", "ebr"} {
+		for mi, mode := range server.Modes() {
 			seed := int64(bi*2 + mi + 1)
 			t.Run(fmt.Sprintf("%s-%s", backend, mode), func(t *testing.T) {
 				runWireLinearizable(t, backend, mode, seed, mixedOps)
@@ -111,7 +111,7 @@ func TestWireHotKeyNeverMissed(t *testing.T) {
 	const key, depth = "hot", 64
 	rounds := testenv.Iters(200)
 	for _, backend := range server.Backends() {
-		for _, mode := range []string{"gc", "rc", "ebr"} {
+		for _, mode := range server.Modes() {
 			t.Run(backend+"-"+mode, func(t *testing.T) {
 				_, addr := startServer(t, server.Config{Backend: backend, Mode: mode})
 				if err := dialTest(t, addr).Set(key, []byte("0")); err != nil {

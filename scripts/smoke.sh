@@ -14,13 +14,13 @@
 #   SMOKE_CONNS     concurrent lfload connections (default 64)
 #   SMOKE_DURATION  load duration per phase      (default 3s)
 #   SMOKE_BACKEND   server backend               (default skiplist)
-#   SMOKE_MODE      memory mode: gc, rc or ebr   (default rc)
+#   SMOKE_MODE      memory mode: gc or ebr       (default ebr)
 set -eu
 
 CONNS=${SMOKE_CONNS:-64}
 DURATION=${SMOKE_DURATION:-3s}
 BACKEND=${SMOKE_BACKEND:-skiplist}
-MODE=${SMOKE_MODE:-rc}
+MODE=${SMOKE_MODE:-ebr}
 
 workdir=$(mktemp -d)
 server_pid=

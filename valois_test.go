@@ -230,3 +230,9 @@ func TestStackPublicAPI(t *testing.T) {
 		t.Fatalf("Len = %d, want 1", got)
 	}
 }
+
+func TestMemoryModeString(t *testing.T) {
+	if valois.GC.String() != "gc" || valois.RC.String() != "rc" || valois.EBR.String() != "ebr" {
+		t.Fatalf("mode names = %q/%q/%q, want gc/rc/ebr", valois.GC, valois.RC, valois.EBR)
+	}
+}
