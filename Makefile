@@ -8,16 +8,6 @@ FUZZTIME ?= 10s
 # so shrink the stress loops by the same factor (see internal/testenv).
 RACE_STRESS_DIV ?= 10
 
-# Restrict the lfcheck analyzers: make lint CHECKS=refbalance,abaguard
-CHECKS ?=
-LFCHECK_FLAGS := $(if $(CHECKS),-checks $(CHECKS))
-
-# Incremental result cache for the analyzers; warm runs re-analyze only
-# packages whose sources (or in-module deps, or analyzer versions)
-# changed. Point LFCHECK_CACHE elsewhere or empty it to disable.
-LFCHECK_CACHE ?= .lfcheck-cache
-LFCHECK_CACHE_FLAGS := $(if $(LFCHECK_CACHE),-cache $(LFCHECK_CACHE))
-
 # Serving defaults: make serve / make loadgen (see scripts/smoke.sh for
 # the scripted end-to-end version CI runs).
 ADDR ?= 127.0.0.1:11311
@@ -28,7 +18,7 @@ CONNS ?= 64
 LOAD_DURATION ?= 10s
 PROTOCOL ?= text
 
-.PHONY: build test race lint lint-json lint-sarif lint-debt lint-strict \
+.PHONY: build test race lint \
 	fuzz-short fmt-check bench-quick serve loadgen smoke chaos durability \
 	bench-build bench-test
 
@@ -56,31 +46,12 @@ test:
 race:
 	VALOIS_STRESS_DIV=$(RACE_STRESS_DIV) $(GO) test -race -count=1 ./internal/...
 
-# lint = the stock vet pass, the gofmt check, and the lock-free
-# invariant analyzers (cmd/lfcheck), cache-warm on repeat runs.
+# lint = the gofmt check, the stock vet pass, and the lock-free
+# invariant analyzers (cmd/lfcheck), which also fail on a malformed or
+# stale //lfcheck:allow directive.
 lint: fmt-check
 	$(GO) vet ./...
-	$(GO) run ./cmd/lfcheck $(LFCHECK_FLAGS) $(LFCHECK_CACHE_FLAGS) ./...
-
-# Machine-readable findings for CI consumers; same exit convention.
-lint-json:
-	$(GO) run ./cmd/lfcheck $(LFCHECK_FLAGS) $(LFCHECK_CACHE_FLAGS) -json ./...
-
-lint-sarif:
-	$(GO) run ./cmd/lfcheck $(LFCHECK_FLAGS) $(LFCHECK_CACHE_FLAGS) -sarif ./...
-
-# lint-debt inventories every //lfcheck:allow suppression (check, reason,
-# file age) so accepted analyzer debt stays a tracked number. Always
-# exits 0; add JSON=1 for machine-readable output.
-lint-debt:
-	$(GO) run ./cmd/lfcheck -debt $(if $(JSON),-json) ./...
-
-# lint-strict is the CI gate for suppression hygiene: the inventory plus
-# an analysis run, failing on directives that are malformed or stale
-# (suppressing nothing — their finding was fixed, so the excuse must go
-# before it hides a future one).
-lint-strict:
-	$(GO) run ./cmd/lfcheck -debt -strict $(LFCHECK_CACHE_FLAGS) ./...
+	$(GO) run ./cmd/lfcheck ./...
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -3,12 +3,13 @@
 //
 // Usage:
 //
-//	go run ./cmd/lfcheck ./...          # run every analyzer
-//	go run ./cmd/lfcheck -list          # show the analyzers
-//	go run ./cmd/lfcheck -checks releasepath,casloop ./internal/mm
+//	go run ./cmd/lfcheck [packages]     # default ./...
 //
-// It exits 0 when no diagnostics are reported, 1 when there are findings,
-// and 2 on load failures — so it slots directly into CI next to go vet.
+// It takes no flags; -h lists the analyzers. Each finding prints as
+// "pos: message (analyzer/category)". A malformed or stale
+// //lfcheck:allow directive is a finding too. It exits 0 when no
+// diagnostics are reported, 1 when there are findings, and 2 on load
+// failures — so it slots directly into CI next to go vet.
 package main
 
 import (

@@ -9,8 +9,11 @@
 // Usage:
 //
 //	valoisd [-addr :11311] [-backend skiplist] [-mode gc] [-buckets 16384]
-//	        [-gomaxprocs N] [-protocol auto|text|resp] [-pprof ADDR]
+//	        [-protocol auto|text|resp] [-pprof ADDR]
 //	        [-aof -data-dir DIR [-fsync always|everysec|no] [-snapshot-interval 5m]]
+//
+// The Go runtime reads the GOMAXPROCS environment variable; the startup
+// log line reports the value in effect.
 //
 // With -aof, every mutation is appended to an append-only log under
 // -data-dir and state is recovered from it (latest snapshot + log tail)
@@ -58,27 +61,23 @@ func run(args []string, logw io.Writer, onReady func(net.Addr)) int {
 	fs := flag.NewFlagSet("valoisd", flag.ContinueOnError)
 	fs.SetOutput(logw)
 	var (
-		addr       = fs.String("addr", ":11311", "listen address")
-		backend    = fs.String("backend", server.BackendSkipList, "dictionary structure: "+strings.Join(server.Backends(), ", "))
-		mode       = fs.String("mode", "gc", "memory mode: "+strings.Join(server.Modes(), ", ")+" (ebr: epoch-based reclamation)")
-		buckets    = fs.Int("buckets", 16384, "hash table bucket count (hash backend only)")
-		gomaxprocs = fs.Int("gomaxprocs", 0, "if > 0, set GOMAXPROCS")
-		idleTO     = fs.Duration("idle-timeout", server.DefaultIdleTimeout, "per-connection idle deadline (negative disables)")
-		readTO     = fs.Duration("read-timeout", server.DefaultReadTimeout, "per-command read deadline (negative disables)")
-		writeTO    = fs.Duration("write-timeout", server.DefaultWriteTimeout, "per-reply write deadline (negative disables)")
-		maxConns   = fs.Int("max-conns", 0, "max concurrent connections, over-cap dials are rejected (0 = unlimited)")
-		protocol   = fs.String("protocol", proto.ProtocolAuto, "wire protocol: auto (sniff per connection), text, or resp")
-		pprofAddr  = fs.String("pprof", "", "if set, serve net/http/pprof on this address with mutex/block profiling")
-		aof        = fs.Bool("aof", false, "enable the append-only log (requires -data-dir)")
-		dataDir    = fs.String("data-dir", "", "directory for the append-only log and snapshots")
-		fsync      = fs.String("fsync", "everysec", "AOF fsync policy: always, everysec, or no")
-		snapEvery  = fs.Duration("snapshot-interval", 0, "background snapshot compaction interval (0 disables)")
+		addr      = fs.String("addr", ":11311", "listen address")
+		backend   = fs.String("backend", server.BackendSkipList, "dictionary structure: "+strings.Join(server.Backends(), ", "))
+		mode      = fs.String("mode", "gc", "memory mode: "+strings.Join(server.Modes(), ", ")+" (ebr: epoch-based reclamation)")
+		buckets   = fs.Int("buckets", 16384, "hash table bucket count (hash backend only)")
+		idleTO    = fs.Duration("idle-timeout", server.DefaultIdleTimeout, "per-connection idle deadline (negative disables)")
+		readTO    = fs.Duration("read-timeout", server.DefaultReadTimeout, "per-command read deadline (negative disables)")
+		writeTO   = fs.Duration("write-timeout", server.DefaultWriteTimeout, "per-reply write deadline (negative disables)")
+		maxConns  = fs.Int("max-conns", 0, "max concurrent connections, over-cap dials are rejected (0 = unlimited)")
+		protocol  = fs.String("protocol", proto.ProtocolAuto, "wire protocol: auto (sniff per connection), text, or resp")
+		pprofAddr = fs.String("pprof", "", "if set, serve net/http/pprof on this address with mutex/block profiling")
+		aof       = fs.Bool("aof", false, "enable the append-only log (requires -data-dir)")
+		dataDir   = fs.String("data-dir", "", "directory for the append-only log and snapshots")
+		fsync     = fs.String("fsync", "everysec", "AOF fsync policy: always, everysec, or no")
+		snapEvery = fs.Duration("snapshot-interval", 0, "background snapshot compaction interval (0 disables)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if *gomaxprocs > 0 {
-		runtime.GOMAXPROCS(*gomaxprocs)
 	}
 	if *aof && *dataDir == "" {
 		fmt.Fprintln(logw, "valoisd: -aof requires -data-dir")

@@ -184,8 +184,9 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		{[]string{"-addr", "256.0.0.1:bad"}, 1, ""},
 		{[]string{"-protocol", "gopher"}, 1, ""},
 		{[]string{"-nosuchflag"}, 2, ""},
-		{[]string{"-batch=false"}, 2, ""}, // batching is not optional
-		{[]string{"-shards", "4"}, 2, ""}, // there is one dictionary, not a flag
+		{[]string{"-batch=false"}, 2, ""},     // batching is not optional
+		{[]string{"-shards", "4"}, 2, ""},     // there is one dictionary, not a flag
+		{[]string{"-gomaxprocs", "2"}, 2, ""}, // the runtime reads GOMAXPROCS from the environment
 	}
 	for _, tc := range tests {
 		var logs syncBuffer

@@ -36,10 +36,9 @@ import (
 
 // Analyzer reports unbounded retry loops with no backoff.
 var Analyzer = &framework.Analyzer{
-	Name:    "boundedretry",
-	Doc:     "report retry loops with neither a backoff nor a bound",
-	Version: "v1",
-	Run:     run,
+	Name: "boundedretry",
+	Doc:  "report retry loops with neither a backoff nor a bound",
+	Run:  run,
 }
 
 // loopInfo accumulates what one infinite for statement contains.

@@ -37,10 +37,9 @@ import (
 
 // Analyzer reports blocking connection I/O with no preceding deadline.
 var Analyzer = &framework.Analyzer{
-	Name:    "conndeadline",
-	Doc:     "report blocking net.Conn I/O with no deadline armed before it",
-	Version: "v1",
-	Run:     run,
+	Name: "conndeadline",
+	Doc:  "report blocking net.Conn I/O with no deadline armed before it",
+	Run:  run,
 }
 
 // blockingMethods are the I/O methods that park the goroutine until the

@@ -2,247 +2,100 @@ package framework
 
 import (
 	"fmt"
-	"runtime"
+	"go/token"
+	"os"
+	"path/filepath"
 	"sort"
-	"sync"
-	"sync/atomic"
+	"strings"
 
 	"valois/internal/analysis/framework/cfg"
 )
 
-// Driver runs a set of analyzers over packages with the scheduling and
-// caching upgrades the whole-tree CI loop needs:
+// RunDiagnostic is one analyzer finding, positioned and printable.
+type RunDiagnostic struct {
+	Position token.Position
+	Message  string
+	Analyzer string
+	Category string
+}
+
+// String renders the diagnostic as "pos: message (analyzer/category)", or
+// "(analyzer)" when it carries no category.
+func (d RunDiagnostic) String() string {
+	check := d.Analyzer
+	if d.Category != "" {
+		check += "/" + d.Category
+	}
+	return fmt.Sprintf("%s: %s (%s)", d.Position, d.Message, check)
+}
+
+// Run loads the patterns through ld and applies each analyzer to each
+// matched package, returning the diagnostics sorted on every key (file,
+// line, column, analyzer, category, message), so the output is
+// byte-stable across runs. Load or type-check errors in the target
+// packages are returned as an error: the analyzers' results would not be
+// trustworthy on broken packages.
 //
-//   - packages are analyzed in parallel, scheduled along the in-module
-//     import graph so a package runs only after its dependencies (whose
-//     facts it imports) have finished — a topological wave schedule with
-//     at most Jobs packages in flight;
-//   - with CacheDir set, each package's result (diagnostics plus exported
-//     facts) is memoized under a content hash of its sources, its
-//     in-module dependency closure's sources, and the analyzer suite's
-//     names and versions, so a warm run skips every unchanged package;
-//   - diagnostics are merged and sorted on every key (file, line, column,
-//     analyzer, category, message), making the output byte-stable across
-//     runs regardless of scheduling order or cache state.
+// Packages are analyzed one at a time in the loader's order, which puts
+// every package after the in-module packages it imports. If any analyzer
+// declares FactTypes, the in-module dependency closure of the patterns is
+// loaded too, so cross-package function facts are exported before an
+// importing package is checked; closure-only packages contribute facts but
+// no diagnostics.
 //
-// The zero value is not usable; populate Loader and Analyzers.
-type Driver struct {
-	Loader    *Loader
-	Analyzers []*Analyzer
-
-	// CacheDir enables the incremental result cache when non-empty. The
-	// directory is created on demand; entries are content-addressed, so
-	// concurrent runs sharing one directory are safe.
-	CacheDir string
-
-	// Jobs bounds how many packages are analyzed concurrently; <= 0
-	// means GOMAXPROCS.
-	Jobs int
-}
-
-// RunStats reports how much work a driver run performed, for the CLI's
-// cache summary and the cache-correctness tests.
-type RunStats struct {
-	// Packages is the number of packages scheduled for analysis (after
-	// the wildcard testdata skip).
-	Packages int
-	// Analyzed counts packages whose analyzers actually ran.
-	Analyzed int
-	// CacheHits counts packages restored from the warm cache instead of
-	// being analyzed; Analyzed + CacheHits == Packages.
-	CacheHits int
-	// UsedAllows lists the //lfcheck:allow directives that suppressed at
-	// least one diagnostic during this run (deduplicated, sorted). The
-	// -debt -strict mode compares this against the directive inventory to
-	// find suppressions that no longer suppress anything.
-	UsedAllows []AllowUse
-}
-
-// AllowUse identifies one allow directive, by position and check name, that
-// a run actually consulted to drop a diagnostic.
-type AllowUse struct {
-	File  string
-	Line  int
-	Check string
-}
-
-// pkgResult accumulates one package's outcome: its reportable diagnostics
-// and the facts its passes exported.
-type pkgResult struct {
-	diags []RunDiagnostic
-	facts []exportedFact
-	// usedAllows are the directives that suppressed a diagnostic in this
-	// package, deduplicated. They ride the cache so a warm run reports the
-	// same usage a cold one would.
-	usedAllows []allowKey
-}
-
-// Run loads the patterns and applies the driver's analyzers to every
-// matched package. See Run (package function) for the loading, testdata,
-// and suppression semantics, which are identical; this entry point adds
-// parallelism, the incremental cache, and work counters.
-func (d *Driver) Run(patterns ...string) ([]RunDiagnostic, RunStats, error) {
-	var stats RunStats
-	ld := d.Loader
-
-	needFacts := false
-	for _, a := range d.Analyzers {
+// Packages living under a testdata directory are skipped when they were
+// matched by a wildcard ("...") pattern: analyzer fixtures are intentionally
+// buggy and must not trip a whole-tree run. Naming a testdata package
+// explicitly still analyzes it.
+//
+// Diagnostics may be suppressed by a directive comment
+//
+//	//lfcheck:allow <check> <reason>
+//
+// which silences diagnostics of analyzer <check> (or of every analyzer,
+// for <check> = "all") on the directive's own line and the line below it.
+// The reason is mandatory. A directive missing its check name or reason,
+// and one that suppressed nothing in this run, is itself reported, as
+// analyzer "lfcheck" category "directive": a stale suppression would
+// otherwise silently excuse some future finding on its line.
+func Run(ld *Loader, analyzers []*Analyzer, patterns []string) ([]RunDiagnostic, error) {
+	load := ld.Load
+	for _, a := range analyzers {
 		if len(a.FactTypes) > 0 {
-			needFacts = true
+			load = ld.LoadClosure
 		}
 	}
-	var loaded []*Package
-	var err error
-	if needFacts {
-		loaded, err = ld.LoadClosure(patterns...)
-	} else {
-		loaded, err = ld.Load(patterns...)
-	}
+	pkgs, err := load(patterns...)
 	if err != nil {
-		return nil, stats, err
+		return nil, err
 	}
-
-	// The schedulable set, in the loader's deterministic topological
-	// order (dependencies first).
-	var pkgs []*Package
-	for _, pkg := range loaded {
+	facts := NewFactStore()
+	var diags []RunDiagnostic
+	for _, pkg := range pkgs {
 		if skipTestdata(ld, pkg, patterns) {
 			continue
 		}
 		if len(pkg.Errors) > 0 {
-			return nil, stats, fmt.Errorf("package %s did not type-check: %v", pkg.PkgPath, pkg.Errors[0])
+			return nil, fmt.Errorf("package %s did not type-check: %v", pkg.PkgPath, pkg.Errors[0])
 		}
-		pkgs = append(pkgs, pkg)
-	}
-	stats.Packages = len(pkgs)
-
-	var cache *resultCache
-	if d.CacheDir != "" {
-		cache, err = newResultCache(d.CacheDir, ld, d.Analyzers)
-		if err != nil {
-			return nil, stats, err
+		if err := analyzePackage(pkg, analyzers, facts, &diags); err != nil {
+			return nil, err
 		}
 	}
-
-	facts := NewFactStore()
-	scheduled := make(map[string]*Package, len(pkgs))
-	done := make(map[string]chan struct{}, len(pkgs))
-	for _, pkg := range pkgs {
-		scheduled[pkg.PkgPath] = pkg
-		done[pkg.PkgPath] = make(chan struct{})
-	}
-
-	jobs := d.Jobs
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	sem := make(chan struct{}, jobs)
-
-	var (
-		mu       sync.Mutex
-		results  = make(map[string]*pkgResult, len(pkgs))
-		analyzed atomic.Int64
-		hits     atomic.Int64
-		failed   atomic.Bool
-		firstErr error
-		errOnce  sync.Once
-	)
-	fail := func(err error) {
-		failed.Store(true)
-		errOnce.Do(func() { firstErr = err })
-	}
-
-	var wg sync.WaitGroup
-	for _, pkg := range pkgs {
-		wg.Add(1)
-		go func(pkg *Package) {
-			defer wg.Done()
-			defer close(done[pkg.PkgPath])
-			// Facts flow along import edges: wait for every scheduled
-			// in-module dependency.
-			for _, dep := range pkg.Imports {
-				if ch, ok := done[dep]; ok {
-					<-ch
-				}
-			}
-			if failed.Load() {
-				return
-			}
-			sem <- struct{}{}
-			defer func() { <-sem }()
-
-			if cache != nil {
-				if res, ok := cache.load(pkg, facts); ok {
-					hits.Add(1)
-					mu.Lock()
-					results[pkg.PkgPath] = res
-					mu.Unlock()
-					return
-				}
-			}
-			res, err := d.analyzePackage(pkg, facts)
-			if err != nil {
-				fail(err)
-				return
-			}
-			analyzed.Add(1)
-			if cache != nil {
-				cache.store(pkg, res)
-			}
-			mu.Lock()
-			results[pkg.PkgPath] = res
-			mu.Unlock()
-		}(pkg)
-	}
-	wg.Wait()
-	if failed.Load() {
-		return nil, stats, firstErr
-	}
-	stats.Analyzed = int(analyzed.Load())
-	stats.CacheHits = int(hits.Load())
-
-	var diags []RunDiagnostic
-	used := make(map[allowKey]bool)
-	for _, pkg := range pkgs {
-		if res := results[pkg.PkgPath]; res != nil {
-			diags = append(diags, res.diags...)
-			for _, k := range res.usedAllows {
-				used[k] = true
-			}
-		}
-	}
-	for k := range used {
-		stats.UsedAllows = append(stats.UsedAllows, AllowUse{File: k.file, Line: k.line, Check: k.check})
-	}
-	sort.Slice(stats.UsedAllows, func(i, j int) bool {
-		a, b := stats.UsedAllows[i], stats.UsedAllows[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return a.Check < b.Check
-	})
 	sortDiagnostics(diags)
-	return diags, stats, nil
+	return diags, nil
 }
 
 // analyzePackage runs every applicable analyzer over one package,
-// returning its diagnostics and exported facts. It is called concurrently
-// for independent packages; everything it touches is either package-local
-// or (the fact store) internally synchronized.
-func (d *Driver) analyzePackage(pkg *Package, facts *FactStore) (*pkgResult, error) {
-	res := &pkgResult{}
-	var allows map[allowKey]bool
+// appending its reportable diagnostics to diags and its facts to facts.
+func analyzePackage(pkg *Package, analyzers []*Analyzer, facts *FactStore, diags *[]RunDiagnostic) error {
+	var allows map[allowKey]*allowDirective
 	if !pkg.DepOnly {
-		allows = collectAllows(pkg, &res.diags)
+		allows = collectAllows(pkg, diags)
 	}
-	usedSet := make(map[allowKey]bool)
-	// One CFG cache per package: every analyzer's pass shares the graphs
-	// (passes run sequentially within a package, so no locking).
+	// One CFG cache per package: every analyzer's pass shares the graphs.
 	cfgs := cfg.NewCache(pkg.TypesInfo)
-	for _, a := range d.Analyzers {
+	for _, a := range analyzers {
 		if pkg.DepOnly && len(a.FactTypes) == 0 {
 			continue // dependency passes exist only to compute facts
 		}
@@ -254,23 +107,16 @@ func (d *Driver) analyzePackage(pkg *Package, facts *FactStore) (*pkgResult, err
 			TypesInfo: pkg.TypesInfo,
 			Facts:     facts,
 			cfgs:      cfgs,
-			exportHook: func(objKey string, fact Fact) {
-				res.facts = append(res.facts, exportedFact{objKey: objKey, fact: fact})
-			},
 		}
 		pass.Report = func(di Diagnostic) {
 			if pkg.DepOnly {
 				return
 			}
 			pos := pkg.Fset.Position(di.Pos)
-			if key, ok := allowed(allows, pos, a.Name); ok {
-				if !usedSet[key] {
-					usedSet[key] = true
-					res.usedAllows = append(res.usedAllows, key)
-				}
+			if allowed(allows, pos, a.Name) {
 				return
 			}
-			res.diags = append(res.diags, RunDiagnostic{
+			*diags = append(*diags, RunDiagnostic{
 				Position: pos,
 				Message:  di.Message,
 				Analyzer: a.Name,
@@ -278,10 +124,20 @@ func (d *Driver) analyzePackage(pkg *Package, facts *FactStore) (*pkgResult, err
 			})
 		}
 		if _, err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("analyzer %s on %s: %v", a.Name, pkg.PkgPath, err)
+			return fmt.Errorf("analyzer %s on %s: %v", a.Name, pkg.PkgPath, err)
 		}
 	}
-	return res, nil
+	for _, d := range allows {
+		if !d.used {
+			*diags = append(*diags, RunDiagnostic{
+				Position: d.pos,
+				Message:  fmt.Sprintf("stale directive %q: it suppressed no finding", d.text),
+				Analyzer: "lfcheck",
+				Category: "directive",
+			})
+		}
+	}
+	return nil
 }
 
 // sortDiagnostics orders diags on every key so the driver's output is
@@ -306,4 +162,98 @@ func sortDiagnostics(diags []RunDiagnostic) {
 		}
 		return diags[i].Message < diags[j].Message
 	})
+}
+
+// allowKey identifies one suppression: this check is allowed on this line.
+type allowKey struct {
+	file  string
+	line  int
+	check string
+}
+
+// allowDirective is one well-formed //lfcheck:allow comment of a package,
+// and whether it has suppressed a diagnostic in this run.
+type allowDirective struct {
+	pos  token.Position
+	text string
+	used bool
+}
+
+// allowed reports whether a diagnostic of the named analyzer at pos is
+// covered by a directive on its own line or the line above, marking the
+// directive that matched as used.
+func allowed(allows map[allowKey]*allowDirective, pos token.Position, analyzer string) bool {
+	for _, check := range [2]string{analyzer, "all"} {
+		for _, line := range [2]int{pos.Line, pos.Line - 1} {
+			if d := allows[allowKey{pos.Filename, line, check}]; d != nil {
+				d.used = true
+				return true
+			}
+		}
+	}
+	return false
+}
+
+const allowPrefix = "//lfcheck:allow"
+
+// collectAllows gathers the //lfcheck:allow directives of one package,
+// reporting malformed ones (missing check name or reason) into diags.
+func collectAllows(pkg *Package, diags *[]RunDiagnostic) map[allowKey]*allowDirective {
+	allows := make(map[allowKey]*allowDirective)
+	for _, f := range pkg.Syntax {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				rest, ok := strings.CutPrefix(c.Text, allowPrefix)
+				if !ok {
+					continue
+				}
+				pos := pkg.Fset.Position(c.Pos())
+				fields := strings.Fields(rest)
+				if len(fields) < 2 {
+					*diags = append(*diags, RunDiagnostic{
+						Position: pos,
+						Message:  fmt.Sprintf("malformed directive %q: want %s <check> <reason>", c.Text, allowPrefix),
+						Analyzer: "lfcheck",
+						Category: "directive",
+					})
+					continue
+				}
+				allows[allowKey{pos.Filename, pos.Line, fields[0]}] = &allowDirective{pos: pos, text: c.Text}
+			}
+		}
+	}
+	return allows
+}
+
+// skipTestdata reports whether pkg lives under a testdata directory and was
+// matched only by a wildcard pattern.
+func skipTestdata(ld *Loader, pkg *Package, patterns []string) bool {
+	if !underTestdata(pkg.Dir) {
+		return false
+	}
+	base := ld.Dir
+	if base == "" {
+		base, _ = os.Getwd()
+	}
+	for _, p := range patterns {
+		if strings.Contains(p, "...") {
+			continue
+		}
+		if p == pkg.PkgPath {
+			return false
+		}
+		if abs, err := filepath.Abs(filepath.Join(base, p)); err == nil && abs == filepath.Clean(pkg.Dir) {
+			return false
+		}
+	}
+	return true
+}
+
+func underTestdata(dir string) bool {
+	for _, part := range strings.Split(filepath.ToSlash(dir), "/") {
+		if part == "testdata" {
+			return true
+		}
+	}
+	return false
 }

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // A Fact is a datum an analyzer attaches to a named object (typically a
@@ -32,13 +31,8 @@ type Fact interface {
 // same function; the store therefore keys facts by the stable (package
 // path, receiver, name) string of ObjectKey instead, which is identical
 // across instances.
-//
-// The store is safe for concurrent use: the parallel driver analyzes
-// independent packages of one topological wave simultaneously, each
-// exporting its own facts while importing its dependencies'.
 type FactStore struct {
-	mu sync.RWMutex
-	m  map[factKey]Fact
+	m map[factKey]Fact
 }
 
 type factKey struct {
@@ -55,19 +49,9 @@ func NewFactStore() *FactStore {
 // export records fact for obj, replacing any previous fact of the same
 // dynamic type.
 func (s *FactStore) export(obj types.Object, fact Fact) {
-	s.install(ObjectKey(obj), fact)
-}
-
-// install records fact under a pre-computed object key. The cache layer
-// uses it directly to restore a skipped package's facts, for which no
-// types.Object exists.
-func (s *FactStore) install(key string, fact Fact) {
-	if key == "" {
-		return
+	if key := ObjectKey(obj); key != "" {
+		s.m[factKey{obj: key, typ: reflect.TypeOf(fact)}] = fact
 	}
-	s.mu.Lock()
-	s.m[factKey{obj: key, typ: reflect.TypeOf(fact)}] = fact
-	s.mu.Unlock()
 }
 
 // imports copies the stored fact of fact's dynamic type for obj into fact,
@@ -78,9 +62,7 @@ func (s *FactStore) imp(obj types.Object, fact Fact) bool {
 	if key == "" {
 		return false
 	}
-	s.mu.RLock()
 	stored, ok := s.m[factKey{obj: key, typ: reflect.TypeOf(fact)}]
-	s.mu.RUnlock()
 	if !ok {
 		return false
 	}
@@ -88,22 +70,13 @@ func (s *FactStore) imp(obj types.Object, fact Fact) bool {
 	return true
 }
 
-// Len reports the number of facts in the store (for tests).
-func (s *FactStore) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.m)
-}
-
 // Keys returns the sorted object keys that carry at least one fact (for
 // tests and debugging).
 func (s *FactStore) Keys() []string {
-	s.mu.RLock()
 	seen := make(map[string]bool)
 	for k := range s.m {
 		seen[k.obj] = true
 	}
-	s.mu.RUnlock()
 	keys := make([]string, 0, len(seen))
 	for k := range seen {
 		keys = append(keys, k)
@@ -160,11 +133,6 @@ func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
 		return
 	}
 	p.Facts.export(obj, fact)
-	if p.exportHook != nil {
-		if key := ObjectKey(obj); key != "" {
-			p.exportHook(key, fact)
-		}
-	}
 }
 
 // ImportObjectFact copies the fact of fact's dynamic type previously

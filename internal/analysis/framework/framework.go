@@ -22,12 +22,12 @@ import (
 
 // Analyzer describes one static check, mirroring analysis.Analyzer.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and -checks filters.
+	// Name identifies the analyzer in diagnostics and allow directives.
 	// It must be a valid Go identifier.
 	Name string
 
 	// Doc is the analyzer's documentation; the first line is used as a
-	// summary in the multichecker's usage text.
+	// summary in the command's usage text.
 	Doc string
 
 	// FactTypes lists the Fact types this analyzer exports or imports.
@@ -36,12 +36,6 @@ type Analyzer struct {
 	// analyzed bottom-up (dependencies first) so facts flow from a package
 	// to its importers.
 	FactTypes []Fact
-
-	// Version participates in the incremental cache key: bump it when the
-	// analyzer's semantics change, so results cached under the old
-	// behavior are invalidated even though no package source changed.
-	// The empty string is a valid (initial) version.
-	Version string
 
 	// Run applies the analyzer to a package.
 	Run func(*Pass) (any, error)
@@ -58,21 +52,17 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Facts is the fact store shared by every pass of this driver run;
-	// nil when the driver is not facts-enabled.
+	// Facts is the fact store shared by every pass of one run; when nil,
+	// facts are neither exported nor imported.
 	Facts *FactStore
 
 	// Report delivers a diagnostic to the driver.
 	Report func(Diagnostic)
 
-	// exportHook, when set by the driver, observes every exported fact so
-	// the incremental cache can record which facts this package produced.
-	exportHook func(objKey string, fact Fact)
-
 	// cfgs memoizes per-function control-flow graphs. The driver shares
-	// one cache across every analyzer's pass over a package (analyzers run
-	// sequentially per package); when unset — e.g. under analysistest —
-	// FuncCFG creates a pass-local one on first use.
+	// one cache across every analyzer's pass over a package; when unset —
+	// e.g. under analysistest — FuncCFG creates a pass-local one on first
+	// use.
 	cfgs *cfg.Cache
 }
 
@@ -92,8 +82,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // Categorizef reports a formatted diagnostic at pos carrying a category, a
-// short stable slug ("leak", "double-release", "aba", ...) that output
-// modes surface so CI can group findings within one analyzer.
+// short stable slug ("leak", "double-release", "aba", ...) printed beside
+// the analyzer name so findings group within one analyzer.
 func (p *Pass) Categorizef(category string, pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Category: category, Message: fmt.Sprintf(format, args...)})
 }

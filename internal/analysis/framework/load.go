@@ -32,15 +32,6 @@ type Package struct {
 	// diagnostics are not reported.
 	DepOnly bool
 
-	// Imports lists the in-module packages this one imports (standard
-	// library excluded), sorted; the parallel driver schedules along
-	// these edges and the incremental cache hashes across them.
-	Imports []string
-
-	// GoFiles are the package's source files (absolute paths), in go
-	// list order; the incremental cache hashes their contents.
-	GoFiles []string
-
 	// Errors holds parse and type errors encountered in this package.
 	// Dependencies must check cleanly; root packages tolerate errors so a
 	// driver can report them all at once.
@@ -129,36 +120,9 @@ func (ld *Loader) load(patterns []string, closure bool) ([]*Package, error) {
 			return nil, fmt.Errorf("loading %s: %w", m.ImportPath, err)
 		}
 		pkg.DepOnly = m.DepOnly
-		pkg.Imports = ld.moduleImports(m)
-		pkg.GoFiles = absFiles(m)
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
-}
-
-// moduleImports returns m's in-module (non-standard-library) imports,
-// sorted.
-func (ld *Loader) moduleImports(m *listPkg) []string {
-	var deps []string
-	for _, imp := range m.Imports {
-		if d := ld.meta[imp]; d != nil && !d.Standard {
-			deps = append(deps, imp)
-		}
-	}
-	sort.Strings(deps)
-	return deps
-}
-
-// absFiles returns m's GoFiles as absolute paths.
-func absFiles(m *listPkg) []string {
-	files := make([]string, 0, len(m.GoFiles))
-	for _, name := range m.GoFiles {
-		if m.Dir != "" && !filepath.IsAbs(name) {
-			name = filepath.Join(m.Dir, name)
-		}
-		files = append(files, name)
-	}
-	return files
 }
 
 // topoOrder returns the metadata of the packages to check, dependencies

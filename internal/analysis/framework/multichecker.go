@@ -3,298 +3,39 @@ package framework
 import (
 	"flag"
 	"fmt"
-	"go/token"
 	"os"
-	"path/filepath"
 	"strings"
 )
 
-// Main runs the given analyzers over the packages matching the command-line
-// patterns (default "./...") and exits with status 1 if any diagnostics
-// were reported, 2 on loading or analyzer failures, and 0 otherwise — the
-// exit convention of go vet.
-//
-// Flags:
-//
-//	-checks a,b  run only the named analyzers
-//	-list        print the available analyzers and exit
-//	-json        print diagnostics as a JSON array instead of text
-//	-sarif       print diagnostics as a SARIF 2.1.0 log instead of text
-//	-cache DIR   memoize per-package results under DIR; a warm run skips
-//	             unchanged packages and prints a work summary to stderr
-//	-jobs N      analyze at most N packages concurrently (0: GOMAXPROCS)
-//	-debt        inventory //lfcheck:allow directives (text, or JSON with
-//	             -json) instead of running analyzers; exits 0 unless -strict
-//	-strict      with -debt: also run the analyzers, mark directives that
-//	             suppressed nothing as STALE, and exit 1 when any directive
-//	             is stale or malformed
+// Main runs every given analyzer over the packages matching the
+// command-line patterns (default "./..."), prints one line per diagnostic,
+// and exits with status 1 if any diagnostics were reported, 2 on loading
+// or analyzer failures, and 0 otherwise — the exit convention of go vet.
+// It takes no flags; -h prints the usage, which lists the analyzers.
 func Main(analyzers ...*Analyzer) {
-	checks := flag.String("checks", "", "comma-separated list of analyzers to run (default: all)")
-	list := flag.Bool("list", false, "list available analyzers and exit")
-	jsonOut := flag.Bool("json", false, "emit diagnostics as JSON")
-	sarifOut := flag.Bool("sarif", false, "emit diagnostics as SARIF 2.1.0")
-	cacheDir := flag.String("cache", "", "directory for the incremental result cache (default: no cache)")
-	jobs := flag.Int("jobs", 0, "maximum number of concurrently analyzed packages (0: GOMAXPROCS)")
-	debt := flag.Bool("debt", false, "report the //lfcheck:allow suppression inventory instead of analyzing")
-	strict := flag.Bool("strict", false, "with -debt: run the analyzers and exit 1 on stale or malformed directives")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: %s [flags] [packages]\n\nAnalyzers:\n", os.Args[0])
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: %s [packages]\n\nAnalyzers:\n", os.Args[0])
 		for _, a := range analyzers {
 			fmt.Fprintf(flag.CommandLine.Output(), "  %-12s %s\n", a.Name, firstLine(a.Doc))
 		}
-		flag.PrintDefaults()
 	}
 	flag.Parse()
-
-	if *list {
-		for _, a := range analyzers {
-			fmt.Printf("%-12s %s\n", a.Name, firstLine(a.Doc))
-		}
-		return
-	}
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(os.Stderr, "lfcheck: -json and -sarif are mutually exclusive")
-		os.Exit(2)
-	}
-
-	selected := analyzers
-	if *checks != "" {
-		byName := make(map[string]*Analyzer)
-		for _, a := range analyzers {
-			byName[a.Name] = a
-		}
-		selected = nil
-		for _, name := range strings.Split(*checks, ",") {
-			a, ok := byName[strings.TrimSpace(name)]
-			if !ok {
-				fmt.Fprintf(os.Stderr, "lfcheck: unknown analyzer %q\n", name)
-				os.Exit(2)
-			}
-			selected = append(selected, a)
-		}
-	}
 
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-
-	if *debt {
-		if *sarifOut {
-			fmt.Fprintln(os.Stderr, "lfcheck: -debt and -sarif are mutually exclusive")
-			os.Exit(2)
-		}
-		dirs, err := CollectDebt(NewLoader(""), patterns)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lfcheck: %v\n", err)
-			os.Exit(2)
-		}
-		stale, malformed := 0, 0
-		if *strict {
-			// A strict inventory re-runs the analyzers to learn which
-			// directives still earn their keep: one that suppresses nothing
-			// is dead weight waiting to hide a future finding.
-			driver := &Driver{
-				Loader:    NewLoader(""),
-				Analyzers: selected,
-				CacheDir:  *cacheDir,
-				Jobs:      *jobs,
-			}
-			_, stats, err := driver.Run(patterns...)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "lfcheck: %v\n", err)
-				os.Exit(2)
-			}
-			stale = MarkStale(dirs, stats.UsedAllows)
-			for _, d := range dirs {
-				if d.Malformed {
-					malformed++
-				}
-			}
-		}
-		write := WriteDebtText
-		if *jsonOut {
-			write = WriteDebtJSON
-		}
-		if err := write(os.Stdout, dirs); err != nil {
-			fmt.Fprintf(os.Stderr, "lfcheck: %v\n", err)
-			os.Exit(2)
-		}
-		if *strict && stale+malformed > 0 {
-			fmt.Fprintf(os.Stderr, "lfcheck: %d stale and %d malformed directive(s)\n", stale, malformed)
-			os.Exit(1)
-		}
-		return
-	}
-
-	driver := &Driver{
-		Loader:    NewLoader(""),
-		Analyzers: selected,
-		CacheDir:  *cacheDir,
-		Jobs:      *jobs,
-	}
-	diags, stats, err := driver.Run(patterns...)
+	diags, err := Run(NewLoader(""), analyzers, patterns)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lfcheck: %v\n", err)
 		os.Exit(2)
 	}
-	if *cacheDir != "" {
-		fmt.Fprintf(os.Stderr, "lfcheck: %d packages: %d cached, %d analyzed\n",
-			stats.Packages, stats.CacheHits, stats.Analyzed)
-	}
-	switch {
-	case *jsonOut:
-		if err := WriteJSON(os.Stdout, diags); err != nil {
-			fmt.Fprintf(os.Stderr, "lfcheck: %v\n", err)
-			os.Exit(2)
-		}
-	case *sarifOut:
-		if err := WriteSARIF(os.Stdout, selected, diags); err != nil {
-			fmt.Fprintf(os.Stderr, "lfcheck: %v\n", err)
-			os.Exit(2)
-		}
-	default:
-		for _, d := range diags {
-			fmt.Printf("%s\n", d)
-		}
+	for _, d := range diags {
+		fmt.Println(d)
 	}
 	if len(diags) > 0 {
 		os.Exit(1)
 	}
-}
-
-// RunDiagnostic is one analyzer finding, positioned and printable.
-type RunDiagnostic struct {
-	Position token.Position
-	Message  string
-	Analyzer string
-	Category string
-}
-
-func (d RunDiagnostic) String() string {
-	return fmt.Sprintf("%s: %s (%s)", d.Position, d.Message, d.Analyzer)
-}
-
-// Run loads the patterns through ld and applies each analyzer to each
-// matched package, returning the diagnostics sorted by position. Load or
-// type-check errors in the target packages are returned as an error: the
-// analyzers' results would not be trustworthy on broken packages.
-//
-// If any analyzer declares FactTypes, the in-module dependency closure of
-// the patterns is analyzed bottom-up first, so cross-package function facts
-// are available when an importing package is checked; closure-only packages
-// contribute facts but no diagnostics.
-//
-// Packages living under a testdata directory are skipped when they were
-// matched by a wildcard ("...") pattern: analyzer fixtures are intentionally
-// buggy and must not trip a whole-tree run. Naming a testdata package
-// explicitly still analyzes it.
-//
-// Diagnostics may be suppressed by a directive comment
-//
-//	//lfcheck:allow <check> <reason>
-//
-// which silences diagnostics of analyzer <check> (or of every analyzer,
-// for <check> = "all") on the directive's own line and the line below it.
-// The reason is mandatory; a directive missing its check name or reason is
-// itself reported, as analyzer "lfcheck" category "directive".
-func Run(ld *Loader, analyzers []*Analyzer, patterns []string) ([]RunDiagnostic, error) {
-	d := &Driver{Loader: ld, Analyzers: analyzers}
-	diags, _, err := d.Run(patterns...)
-	return diags, err
-}
-
-// allowKey identifies one suppression: this check is allowed on this line.
-type allowKey struct {
-	file  string
-	line  int
-	check string
-}
-
-// allowed reports whether a diagnostic of the named analyzer at pos is
-// covered by a directive on its own line or the line above, returning the
-// key of the directive that matched so the run can record it as used.
-func allowed(allows map[allowKey]bool, pos token.Position, analyzer string) (allowKey, bool) {
-	if len(allows) == 0 {
-		return allowKey{}, false
-	}
-	for _, check := range [2]string{analyzer, "all"} {
-		for _, line := range [2]int{pos.Line, pos.Line - 1} {
-			key := allowKey{pos.Filename, line, check}
-			if allows[key] {
-				return key, true
-			}
-		}
-	}
-	return allowKey{}, false
-}
-
-const allowPrefix = "//lfcheck:allow"
-
-// collectAllows gathers the //lfcheck:allow directives of one package,
-// reporting malformed ones (missing check name or reason) into diags.
-func collectAllows(pkg *Package, diags *[]RunDiagnostic) map[allowKey]bool {
-	allows := make(map[allowKey]bool)
-	for _, f := range pkg.Syntax {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				rest, ok := strings.CutPrefix(c.Text, allowPrefix)
-				if !ok {
-					continue
-				}
-				pos := pkg.Fset.Position(c.Pos())
-				fields := strings.Fields(rest)
-				if len(fields) < 2 {
-					*diags = append(*diags, RunDiagnostic{
-						Position: pos,
-						Message:  fmt.Sprintf("malformed directive %q: want %s <check> <reason>", c.Text, allowPrefix),
-						Analyzer: "lfcheck",
-						Category: "directive",
-					})
-					continue
-				}
-				allows[allowKey{pos.Filename, pos.Line, fields[0]}] = true
-			}
-		}
-	}
-	return allows
-}
-
-// skipTestdata reports whether pkg lives under a testdata directory and was
-// matched only by a wildcard pattern.
-func skipTestdata(ld *Loader, pkg *Package, patterns []string) bool {
-	return skipTestdataDir(ld, pkg.Dir, pkg.PkgPath, patterns)
-}
-
-func skipTestdataDir(ld *Loader, dir, pkgPath string, patterns []string) bool {
-	if !underTestdata(dir) {
-		return false
-	}
-	base := ld.Dir
-	if base == "" {
-		base, _ = os.Getwd()
-	}
-	for _, p := range patterns {
-		if strings.Contains(p, "...") {
-			continue
-		}
-		if p == pkgPath {
-			return false
-		}
-		if abs, err := filepath.Abs(filepath.Join(base, p)); err == nil && abs == filepath.Clean(dir) {
-			return false
-		}
-	}
-	return true
-}
-
-func underTestdata(dir string) bool {
-	for _, part := range strings.Split(filepath.ToSlash(dir), "/") {
-		if part == "testdata" {
-			return true
-		}
-	}
-	return false
 }
 
 func firstLine(s string) string {

@@ -44,7 +44,6 @@ var Analyzer = &framework.Analyzer{
 	Name:      "goroleak",
 	Doc:       "report go statements whose goroutine has no termination path",
 	FactTypes: []framework.Fact{(*NoReturn)(nil)},
-	Version:   "v1",
 	Run:       run,
 }
 

@@ -54,10 +54,9 @@ import (
 // Analyzer reports plain field writes reachable after the struct was
 // published.
 var Analyzer = &framework.Analyzer{
-	Name:    "hbpublish",
-	Doc:     "report struct fields written at a point reachable after the struct was published via atomic store, CAS, or channel send",
-	Version: "v1",
-	Run:     run,
+	Name: "hbpublish",
+	Doc:  "report struct fields written at a point reachable after the struct was published via atomic store, CAS, or channel send",
+	Run:  run,
 }
 
 func run(pass *framework.Pass) (any, error) {

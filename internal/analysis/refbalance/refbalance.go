@@ -65,7 +65,6 @@ var Analyzer = &framework.Analyzer{
 	Name:      "refbalance",
 	Doc:       "report counted references not balanced by exactly one Release, following helper-call summaries",
 	FactTypes: []framework.Fact{(*Summary)(nil)},
-	Version:   "v2", // v2: CFG path interpreter + correlated-nil groups
 	Run:       run,
 }
 

@@ -53,10 +53,9 @@ import (
 
 // Analyzer reports acquired references that some exit path abandons.
 var Analyzer = &framework.Analyzer{
-	Name:    "releasepath",
-	Doc:     "report exit paths (including early returns and panics) that abandon an acquired reference",
-	Version: "v2", // v2: also reports discarded Pin guards
-	Run:     run,
+	Name: "releasepath",
+	Doc:  "report exit paths (including early returns and panics) that abandon an acquired reference",
+	Run:  run,
 }
 
 // maxStates bounds the number of distinct path states carried through a

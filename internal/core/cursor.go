@@ -257,15 +257,17 @@ func (c *Cursor[T]) TryDelete() bool {
 	s := l.safeRead(p.NextAddr()) // Fig 10 line 12
 
 	// Fig 10 lines 13-16: advance n to the last auxiliary node of the
-	// chain (stop when the node after n is a normal cell).
+	// chain (stop when the node after n is a normal cell). The node after
+	// n is inspected only through a counted reference: under mm.RC an
+	// uncounted one may be recycled, and its kind rewritten, mid-read.
 	for {
-		after := n.Next()
-		if after == nil || after.IsNormal() {
+		q := l.safeRead(n.NextAddr()) // Fig 10 lines 13-14
+		if q == nil || q.IsNormal() {
+			l.release(q)
 			break
 		}
-		q := l.safeRead(n.NextAddr()) // Fig 10 line 14
-		l.release(n)                  // Fig 10 line 15
-		n = q                         // Fig 10 line 16
+		l.release(n) // Fig 10 line 15
+		n = q        // Fig 10 line 16
 		l.stats.addChainSteps(1)
 	}
 
@@ -284,7 +286,10 @@ func (c *Cursor[T]) TryDelete() bool {
 		if p.BackLink() != nil {
 			break
 		}
-		if after := n.Next(); after != nil && after.IsAux() {
+		after := l.safeRead(n.NextAddr())
+		extended := after != nil && after.IsAux()
+		l.release(after)
+		if extended {
 			break
 		}
 		backoff.Wait()               // §2.1: contended swing; back off before re-reading
