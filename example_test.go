@@ -122,35 +122,3 @@ func ExampleNewPriorityQueue() {
 	// 20 soon
 	// 30 low
 }
-
-func ExampleQueue() {
-	q := valois.NewQueue[int]()
-	q.Enqueue(1)
-	q.Enqueue(2)
-	v, _ := q.Dequeue()
-	fmt.Println(v, q.Len())
-	// Output:
-	// 1 1
-}
-
-func ExampleNewManagedQueue() {
-	// Under RC the queue recycles its nodes through the paper's §5
-	// lock-free free list instead of the garbage collector.
-	q := valois.NewManagedQueue[string](valois.RC)
-	q.Enqueue("a")
-	v, ok := q.Dequeue()
-	fmt.Println(v, ok)
-	q.Close()
-	// Output:
-	// a true
-}
-
-func ExampleStack() {
-	s := valois.NewStack[int]()
-	s.Push(1)
-	s.Push(2)
-	v, _ := s.Pop()
-	fmt.Println(v)
-	// Output:
-	// 2
-}

@@ -118,57 +118,28 @@ func TestIntegrationGauntlet(t *testing.T) {
 	}
 }
 
-// TestIntegrationPipelines wires several structures together the way the
-// examples do: a managed queue feeding a priority queue feeding a
-// dictionary, all under concurrent producers and consumers.
+// TestIntegrationPipelines wires two structures together the way the
+// examples do: a priority queue feeding a dictionary, under concurrent
+// producers and consumers.
 func TestIntegrationPipelines(t *testing.T) {
-	in := valois.NewManagedQueue[int](valois.RC)
 	pq := valois.NewPriorityQueue[int, int](valois.GC)
 	out := valois.NewHashDict[int, int](32, valois.GC, valois.HashInt)
 
 	const items = 3000
 	var wg sync.WaitGroup
-	// Stage 1: producers enqueue raw items.
+	// Stage 1: producers insert raw items into the priority queue.
 	for p := 0; p < 3; p++ {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
 			for i := p; i < items; i += 3 {
-				in.Enqueue(i)
+				pq.Insert(i, i*2)
 			}
 		}(p)
 	}
-	// Stage 2: sorters move items into the priority queue.
-	var swg sync.WaitGroup
-	stop1 := make(chan struct{})
-	for s := 0; s < 2; s++ {
-		swg.Add(1)
-		go func() {
-			defer swg.Done()
-			for {
-				v, ok := in.Dequeue()
-				if !ok {
-					select {
-					case <-stop1:
-						for {
-							v, ok := in.Dequeue()
-							if !ok {
-								return
-							}
-							pq.Insert(v, v*2)
-						}
-					default:
-						continue
-					}
-				} else {
-					pq.Insert(v, v*2)
-				}
-			}
-		}()
-	}
-	// Stage 3: drainers extract in priority order into the dictionary.
+	// Stage 2: drainers extract in priority order into the dictionary.
 	var dwg sync.WaitGroup
-	stop2 := make(chan struct{})
+	stop := make(chan struct{})
 	for d := 0; d < 2; d++ {
 		dwg.Add(1)
 		go func() {
@@ -177,7 +148,7 @@ func TestIntegrationPipelines(t *testing.T) {
 				k, v, ok := pq.DeleteMin()
 				if !ok {
 					select {
-					case <-stop2:
+					case <-stop:
 						for {
 							k, v, ok := pq.DeleteMin()
 							if !ok {
@@ -195,9 +166,7 @@ func TestIntegrationPipelines(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	close(stop1)
-	swg.Wait()
-	close(stop2)
+	close(stop)
 	dwg.Wait()
 
 	for k := 0; k < items; k++ {
@@ -205,5 +174,4 @@ func TestIntegrationPipelines(t *testing.T) {
 			t.Fatalf("item %d: got %d,%v; want %d,true", k, v, ok, k*2)
 		}
 	}
-	in.Close()
 }

@@ -24,9 +24,9 @@
 // The check is scoped to reference-counted cell types (structs with a
 // sync/atomic ref* field, like mm.Node's refct): only manually reclaimed
 // cells can be recycled while a plain pointer to them is held. Structures
-// that lean on the garbage collector instead (internal/queue, the
-// universal construction) get ABA freedom for free — a held pointer keeps
-// its cell from being reused — and are deliberately out of scope.
+// that lean on the garbage collector instead (the universal construction)
+// get ABA freedom for free — a held pointer keeps its cell from being
+// reused — and are deliberately out of scope.
 package abaguard
 
 import (

@@ -32,13 +32,14 @@ func TestCursorAtResumesFromCell(t *testing.T) {
 		m.AddRef(cell) // hold it beyond the scout's lifetime
 		scout.Close()
 
-		c := l.CursorAt(cell)
+		var c Cursor[int]
+		l.InitCursorAt(&c, cell)
 		m.Release(cell)
 		if got := c.Item(); got != 3 {
-			t.Fatalf("CursorAt(cell 2) visits %d, want 3 (first cell after it)", got)
+			t.Fatalf("InitCursorAt(cell 2) visits %d, want 3 (first cell after it)", got)
 		}
 		if !c.Next() || c.Item() != 4 {
-			t.Fatal("traversal from CursorAt position broken")
+			t.Fatal("traversal from InitCursorAt position broken")
 		}
 		c.Close()
 	})
@@ -59,10 +60,11 @@ func TestCursorAtFromDeletedCell(t *testing.T) {
 		}
 		scout.Close()
 
-		c := l.CursorAt(cell)
+		var c Cursor[int]
+		l.InitCursorAt(&c, cell)
 		m.Release(cell)
 		if got := c.Item(); got != 3 {
-			t.Fatalf("CursorAt(deleted 2) visits %d, want 3", got)
+			t.Fatalf("InitCursorAt(deleted 2) visits %d, want 3", got)
 		}
 		c.Close()
 		if err := l.CheckQuiescent(); err != nil {

@@ -256,13 +256,6 @@ func (l *List[T]) NewCursor() *Cursor[T] {
 	return c
 }
 
-// CursorAt is InitCursorAt into a fresh heap cursor.
-func (l *List[T]) CursorAt(n *mm.Node[T]) *Cursor[T] {
-	c := new(Cursor[T])
-	l.InitCursorAt(c, n)
-	return c
-}
-
 // Hold and Unhold are the traversal-reference family (see safeRead above)
 // for a caller that keeps a cell it reached through a cursor after the
 // cursor has moved on — the skip list's per-level predecessors. Counted

@@ -73,25 +73,9 @@ type Stats struct {
 
 	// Epoch and Limbo are gauges of the EBR manager (zero elsewhere):
 	// the current global epoch and the number of retired cells awaiting
-	// their grace period. Add sums them, so treat totals over several
-	// managers as activity indicators, not instantaneous state.
+	// their grace period.
 	Epoch int64
 	Limbo int64
-}
-
-// Add accumulates o's counters into s (Stripes sums too, so aggregating
-// several managers reports the total stripe count).
-func (s *Stats) Add(o Stats) {
-	s.Allocs += o.Allocs
-	s.Reclaims += o.Reclaims
-	s.Created += o.Created
-	s.Pops += o.Pops
-	s.Pushes += o.Pushes
-	s.Grows += o.Grows
-	s.Steals += o.Steals
-	s.Stripes += o.Stripes
-	s.Epoch += o.Epoch
-	s.Limbo += o.Limbo
 }
 
 // Live returns the number of cells currently checked out (allocated and

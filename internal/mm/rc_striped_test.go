@@ -213,14 +213,3 @@ func TestRCStripedStress(t *testing.T) {
 		t.Fatalf("allocs = %d, want pops+grows = %d+%d", s.Allocs, s.Pops, s.Grows)
 	}
 }
-
-// TestStatsAdd checks the Stats aggregation helper.
-func TestStatsAdd(t *testing.T) {
-	a := Stats{Allocs: 1, Reclaims: 2, Created: 3, Pops: 4, Pushes: 5, Grows: 6, Steals: 7, Stripes: 2}
-	b := Stats{Allocs: 10, Reclaims: 20, Created: 30, Pops: 40, Pushes: 50, Grows: 60, Steals: 70, Stripes: 1}
-	a.Add(b)
-	want := Stats{Allocs: 11, Reclaims: 22, Created: 33, Pops: 44, Pushes: 55, Grows: 66, Steals: 77, Stripes: 3}
-	if a != want {
-		t.Fatalf("Add = %+v, want %+v", a, want)
-	}
-}

@@ -166,7 +166,7 @@ func (s *Server) appendEntryReply(codec proto.ServerCodec, dst []byte, e *batchE
 		}
 	case proto.VerbRange:
 		if e.err != nil {
-			dst = codec.AppendClientError(dst, "RANGE requires an ordered backend (list, skiplist, bst)")
+			dst = codec.AppendClientError(dst, "RANGE requires an ordered backend (skiplist, bst)")
 			break
 		}
 		dst = codec.AppendRangeHeader(dst, len(e.rangeItems))

@@ -146,16 +146,21 @@ func TestServerRange(t *testing.T) {
 }
 
 func TestServerRangeUnorderedBackend(t *testing.T) {
-	_, addr := startServer(t, server.Config{Backend: server.BackendHash, Buckets: 16})
-	c := dialTest(t, addr)
-	_, err := c.Range("a", 10)
-	var re *proto.ReplyError
-	if !errors.As(err, &re) || re.Kind != "CLIENT_ERROR" {
-		t.Fatalf("Range on hash backend = %v, want CLIENT_ERROR reply", err)
-	}
-	// The connection survives a CLIENT_ERROR.
-	if err := c.Set("a", []byte("1")); err != nil {
-		t.Fatalf("Set after rejected RANGE: %v", err)
+	for _, protocol := range []string{proto.ProtocolText, proto.ProtocolRESP} {
+		t.Run(protocol, func(t *testing.T) {
+			_, addr := startServer(t, server.Config{Backend: server.BackendHash, Buckets: 16})
+			c := dialTestProto(t, addr, protocol)
+			_, err := c.Range("a", 10)
+			var re *proto.ReplyError
+			if !errors.As(err, &re) || re.Kind != "CLIENT_ERROR" ||
+				re.Msg != "RANGE requires an ordered backend (skiplist, bst)" {
+				t.Fatalf("Range on hash backend = %v, want CLIENT_ERROR naming skiplist and bst", err)
+			}
+			// The connection survives a CLIENT_ERROR.
+			if err := c.Set("a", []byte("1")); err != nil {
+				t.Fatalf("Set after rejected RANGE: %v", err)
+			}
+		})
 	}
 }
 

@@ -183,54 +183,6 @@ func TestOrderedDictionariesRange(t *testing.T) {
 	}
 }
 
-func TestQueuePublicAPI(t *testing.T) {
-	q := valois.NewQueue[int]()
-	const (
-		producers = 4
-		perP      = 500
-	)
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < perP; i++ {
-				q.Enqueue(p*perP + i)
-			}
-		}(p)
-	}
-	wg.Wait()
-	seen := make(map[int]bool)
-	for {
-		v, ok := q.Dequeue()
-		if !ok {
-			break
-		}
-		if seen[v] {
-			t.Fatalf("value %d dequeued twice", v)
-		}
-		seen[v] = true
-	}
-	if len(seen) != producers*perP {
-		t.Fatalf("drained %d values, want %d", len(seen), producers*perP)
-	}
-	if !q.Empty() {
-		t.Fatal("queue should be empty")
-	}
-}
-
-func TestStackPublicAPI(t *testing.T) {
-	s := valois.NewStack[int]()
-	s.Push(1)
-	s.Push(2)
-	if v, ok := s.Pop(); !ok || v != 2 {
-		t.Fatalf("Pop = %d,%v; want 2,true", v, ok)
-	}
-	if got := s.Len(); got != 1 {
-		t.Fatalf("Len = %d, want 1", got)
-	}
-}
-
 func TestMemoryModeString(t *testing.T) {
 	if valois.GC.String() != "gc" || valois.RC.String() != "rc" || valois.EBR.String() != "ebr" {
 		t.Fatalf("mode names = %q/%q/%q, want gc/rc/ebr", valois.GC, valois.RC, valois.EBR)
