@@ -14,7 +14,6 @@ package main
 
 import (
 	"valois/internal/analysis/abaguard"
-	"valois/internal/analysis/atomiccopy"
 	"valois/internal/analysis/boundedretry"
 	"valois/internal/analysis/casloop"
 	"valois/internal/analysis/conndeadline"
@@ -32,7 +31,6 @@ func main() {
 		refbalance.Analyzer,
 		abaguard.Analyzer,
 		casloop.Analyzer,
-		atomiccopy.Analyzer,
 		goroleak.Analyzer,
 		conndeadline.Analyzer,
 		boundedretry.Analyzer,

@@ -57,8 +57,8 @@ func TestLfcheckCLI(t *testing.T) {
 			t.Fatalf("-h exit = %d, want 0", exit)
 		}
 		for _, name := range []string{
-			"mixedatomic", "refbalance", "abaguard", "casloop", "atomiccopy",
-			"goroleak", "conndeadline", "boundedretry", "hbpublish", "releasepath",
+			"mixedatomic", "refbalance", "abaguard", "casloop", "goroleak",
+			"conndeadline", "boundedretry", "hbpublish", "releasepath",
 		} {
 			if !strings.Contains(stderr, name) {
 				t.Errorf("usage missing analyzer %q:\n%s", name, stderr)
@@ -118,7 +118,7 @@ func TestLfcheckCLI(t *testing.T) {
 	})
 
 	t.Run("whole tree is clean", func(t *testing.T) {
-		// The suite's acceptance bar: all ten analyzers at zero findings
+		// The suite's acceptance bar: all nine analyzers at zero findings
 		// tree-wide, and every allow directive still suppressing one.
 		// This is also the regression net for the backoff and deadline
 		// fixes — removing one re-flags its loop here.
@@ -194,10 +194,10 @@ func fine() int { return 1 }
 // TestPlantAndDetect proves every analyzer stays live against the code
 // shapes it exists for: the tree is clean, so this test plants one
 // violation per analyzer — a plainly read atomic counter, a leaked
-// reference, an ABA-prone pop, a stale CAS expected value, a copied atomic
-// struct, a leaked handler goroutine, a deadline-less connection read, an
-// unpaced CAS retry, a post-publication field write, a reference abandoned
-// on a panic exit, an epoch guard that escapes Unpin on an early return,
+// reference, an ABA-prone pop, a stale CAS expected value, a leaked
+// handler goroutine, a deadline-less connection read, an unpaced CAS
+// retry, a post-publication field write, a reference abandoned on a panic
+// exit, an epoch guard that escapes Unpin on an early return,
 // and one discarded outright (a bare Pin() statement, which no exit path
 // can ever balance) — in a temp module and requires each to be detected
 // through the real binary. The leaked reference sits in a second package
@@ -250,12 +250,6 @@ func bump() {
 	old := gen.Load()
 	for !gen.CompareAndSwap(old, old+1) {
 	}
-}
-
-// clone copies a session, atomic field and all.
-func clone(s *session) *session {
-	c := *s
-	return &c
 }
 
 // serve leaks its metrics goroutine: no termination path.
@@ -422,7 +416,6 @@ func Peek() int {
 		"refbalance/leak (use.go)",
 		"abaguard/aba",
 		"casloop/stale-expected",
-		"atomiccopy/copy",
 		"goroleak/goroutine-leak",
 		"conndeadline/no-deadline",
 		"boundedretry/unbounded",

@@ -1,8 +1,8 @@
 // Command valoisd serves the paper's §4 lock-free dictionaries over TCP
 // with the memcached-style text protocol and the RESP protocol of
 // internal/proto (auto-detected per connection by default). All keys live
-// in one dictionary instance; the backend structure (hash, skiplist or
-// bst) and the memory mode (gc or ebr) are flags, so the same daemon
+// in one dictionary instance; the backend structure (hash or skiplist)
+// and the memory mode (gc or ebr) are flags, so the same daemon
 // compares every served structure × mode combination under real network
 // load (see bench/).
 //

@@ -177,9 +177,10 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	}{
 		{[]string{"-backend", "btree"}, 1, ""},
 		{[]string{"-mode", "arc"}, 1, ""},
-		// The single sorted list and §5 reference counts are not served:
-		// the server's unknown-value errors name what is.
-		{[]string{"-backend", "list"}, 1, `unknown backend "list" (want one of [hash skiplist bst])`},
+		// The single sorted list, the §4.2 tree and §5 reference counts
+		// are not served: the server's unknown-value errors name what is.
+		{[]string{"-backend", "list"}, 1, `unknown backend "list" (want one of [hash skiplist])`},
+		{[]string{"-backend", "bst"}, 1, `unknown backend "bst" (want one of [hash skiplist])`},
 		{[]string{"-mode", "rc"}, 1, `unknown memory mode "rc" (want one of [gc ebr])`},
 		{[]string{"-addr", "256.0.0.1:bad"}, 1, ""},
 		{[]string{"-protocol", "gopher"}, 1, ""},

@@ -65,7 +65,6 @@ func (s *Server) execKeyed(e *batchEntry) {
 	}
 	switch e.cmd.Verb {
 	case proto.VerbGet:
-		s.cmdGet.Add(1)
 		if v, ok := s.store.Find(e.cmd.Key); ok {
 			s.getHits.Add(1)
 			e.val, e.found = v, true
@@ -85,7 +84,6 @@ func (s *Server) execKeyed(e *batchEntry) {
 		}
 
 	case proto.VerbDelete:
-		s.cmdDelete.Add(1)
 		deleted := s.store.Delete(e.cmd.Key)
 		e.found = deleted
 		if deleted {
@@ -166,7 +164,7 @@ func (s *Server) appendEntryReply(codec proto.ServerCodec, dst []byte, e *batchE
 		}
 	case proto.VerbRange:
 		if e.err != nil {
-			dst = codec.AppendClientError(dst, "RANGE requires an ordered backend (skiplist, bst)")
+			dst = codec.AppendClientError(dst, "RANGE requires an ordered backend (skiplist)")
 			break
 		}
 		dst = codec.AppendRangeHeader(dst, len(e.rangeItems))

@@ -8,7 +8,7 @@
 //
 // Two wire protocols from internal/proto are served, the memcached-style
 // text protocol and RESP, detected per connection (Config.Protocol).
-// The backend structure (hash table, skip list, or BST) and the memory
+// The backend structure (hash table or skip list) and the memory
 // mode (gc or ebr) are chosen at construction, making the server a
 // network-facing harness for comparing the paper's structures under real
 // socket-driven load (bench/).
@@ -27,7 +27,6 @@ import (
 
 	"valois/internal/proto"
 
-	"valois/internal/bst"
 	"valois/internal/dict"
 	"valois/internal/mm"
 	"valois/internal/persist"
@@ -41,12 +40,11 @@ var ErrServerClosed = errors.New("server: closed")
 const (
 	BackendHash     = "hash"     // §4.1 hash table of sorted lists
 	BackendSkipList = "skiplist" // §4.1 lock-free skip list
-	BackendBST      = "bst"      // §4.2 binary search tree with aux nodes
 )
 
 // Backends lists the valid Config.Backend values.
 func Backends() []string {
-	return []string{BackendHash, BackendSkipList, BackendBST}
+	return []string{BackendHash, BackendSkipList}
 }
 
 // Modes lists the valid Config.Mode values: the Go collector, and
@@ -60,7 +58,7 @@ func Modes() []string {
 // Config parameterizes a Server.
 type Config struct {
 	// Backend selects the §4 structure the server stores its keys in:
-	// "hash", "skiplist" (default), or "bst".
+	// "hash" or "skiplist" (default).
 	Backend string
 	// Mode selects cell reclamation: "gc" (default) or "ebr"
 	// (epoch-based reclamation over the §5 free list).
@@ -193,11 +191,11 @@ type Server struct {
 	connRejected atomic.Int64
 	connPanics   atomic.Int64
 	protoErrs    atomic.Int64
-	cmdGet       atomic.Int64
 	cmdSet       atomic.Int64
-	cmdDelete    atomic.Int64
 	cmdRange     atomic.Int64
 	cmdStats     atomic.Int64
+	// GET and DELETE bump only their outcome counter; cmd_get and
+	// cmd_delete are the sums.
 	getHits      atomic.Int64
 	getMisses    atomic.Int64
 	deleteHits   atomic.Int64
@@ -271,8 +269,6 @@ func newStore(cfg Config, mode mm.Mode) (store, error) {
 		return dict.NewHash[string, []byte](cfg.Buckets, mode, dict.HashString), nil
 	case BackendSkipList:
 		return skiplist.New[string, []byte](mode), nil
-	case BackendBST:
-		return bst.New[string, []byte](mode), nil
 	default:
 		return nil, fmt.Errorf("server: unknown backend %q (want one of %v)", cfg.Backend, Backends())
 	}
@@ -466,6 +462,8 @@ func (s *Server) Stats() []Stat {
 	s.mu.Unlock()
 
 	mem := s.store.MemStats()
+	getHits, getMisses := s.getHits.Load(), s.getMisses.Load()
+	deleteHits, deleteMisses := s.deleteHits.Load(), s.deleteMisses.Load()
 
 	n := func(v int64) string { return fmt.Sprintf("%d", v) }
 	stats := []Stat{
@@ -474,15 +472,15 @@ func (s *Server) Stats() []Stat {
 		{"uptime_seconds", n(int64(time.Since(s.start).Seconds()))},
 		{"curr_connections", n(int64(currConns))},
 		{"total_connections", n(s.totalConns.Load())},
-		{"cmd_get", n(s.cmdGet.Load())},
+		{"cmd_get", n(getHits + getMisses)},
 		{"cmd_set", n(s.cmdSet.Load())},
-		{"cmd_delete", n(s.cmdDelete.Load())},
+		{"cmd_delete", n(deleteHits + deleteMisses)},
 		{"cmd_range", n(s.cmdRange.Load())},
 		{"cmd_stats", n(s.cmdStats.Load())},
-		{"get_hits", n(s.getHits.Load())},
-		{"get_misses", n(s.getMisses.Load())},
-		{"delete_hits", n(s.deleteHits.Load())},
-		{"delete_misses", n(s.deleteMisses.Load())},
+		{"get_hits", n(getHits)},
+		{"get_misses", n(getMisses)},
+		{"delete_hits", n(deleteHits)},
+		{"delete_misses", n(deleteMisses)},
 		{"protocol_errors", n(s.protoErrs.Load())},
 		// Wire counters: batches of pipelined commands executed as one
 		// dispatch, how many commands rode in them, and raw socket bytes

@@ -153,8 +153,8 @@ func TestServerRangeUnorderedBackend(t *testing.T) {
 			_, err := c.Range("a", 10)
 			var re *proto.ReplyError
 			if !errors.As(err, &re) || re.Kind != "CLIENT_ERROR" ||
-				re.Msg != "RANGE requires an ordered backend (skiplist, bst)" {
-				t.Fatalf("Range on hash backend = %v, want CLIENT_ERROR naming skiplist and bst", err)
+				re.Msg != "RANGE requires an ordered backend (skiplist)" {
+				t.Fatalf("Range on hash backend = %v, want CLIENT_ERROR naming skiplist", err)
 			}
 			// The connection survives a CLIENT_ERROR.
 			if err := c.Set("a", []byte("1")); err != nil {
@@ -181,6 +181,7 @@ func testServerStats(t *testing.T, protocol string) {
 	c.Get("k1")
 	c.Get("nope")
 	c.Delete("k2")
+	c.Delete("nope")
 
 	stats, err := c.Stats()
 	if err != nil {
@@ -191,9 +192,12 @@ func testServerStats(t *testing.T, protocol string) {
 		"mode":             "ebr",
 		"curr_items":       "9",
 		"cmd_set":          "10",
+		"cmd_get":          "2",
+		"cmd_delete":       "2",
 		"get_hits":         "1",
 		"get_misses":       "1",
 		"delete_hits":      "1",
+		"delete_misses":    "1",
 		"curr_connections": "1",
 	}
 	for k, v := range want {
@@ -217,15 +221,16 @@ func testServerStats(t *testing.T, protocol string) {
 	}
 }
 
-// TestNewRejectsUnservedConfig: the paper's single sorted list and its §5
-// reference counts are not served; New rejects them, and made-up names,
-// with errors that list the valid values.
+// TestNewRejectsUnservedConfig: the paper's single sorted list, its §4.2
+// tree and its §5 reference counts are not served; New rejects them, and
+// made-up names, with errors that list the valid values.
 func TestNewRejectsUnservedConfig(t *testing.T) {
 	for _, tc := range []struct {
 		cfg  server.Config
 		want string
 	}{
 		{server.Config{Backend: "list"}, fmt.Sprint(server.Backends())},
+		{server.Config{Backend: "bst"}, fmt.Sprint(server.Backends())},
 		{server.Config{Backend: "btree"}, fmt.Sprint(server.Backends())},
 		{server.Config{Mode: "rc"}, fmt.Sprint(server.Modes())},
 		{server.Config{Mode: "arc"}, fmt.Sprint(server.Modes())},
