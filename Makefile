@@ -58,14 +58,12 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# bench-quick runs the free-list contention experiment (E10) and the
-# memory-mode comparison (E11) at reduced iterations — a CI-speed
-# regression check that the striped free list still beats the single head
-# and that mode=ebr traversal stays below rc with zero leaked cells. The
-# tables in EXPERIMENTS.md are from the full run:
+# bench-quick runs the memory-mode comparison (E11) at reduced iterations —
+# a CI-speed regression check that mode=ebr traversal stays below rc with
+# zero leaked cells. The tables in EXPERIMENTS.md are from the full run:
 # GOMAXPROCS=2 go run ./cmd/lfbench -format markdown
 bench-quick:
-	$(GO) run ./cmd/lfbench -e E10,E11 -quick -d 50ms
+	$(GO) run ./cmd/lfbench -e E11 -quick -d 50ms
 
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzDictionarySemantics -fuzztime=$(FUZZTIME) ./internal/dict

@@ -1,5 +1,5 @@
 // Micro-benchmarks of the §3 cursor operations through the public API.
-// The reproduction experiments (DESIGN.md E1–E11) are run by cmd/lfbench.
+// The reproduction experiments (DESIGN.md E1–E9, E11) are run by cmd/lfbench.
 package valois_test
 
 import (

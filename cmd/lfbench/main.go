@@ -1,5 +1,5 @@
 // Command lfbench regenerates the paper-reproduction experiment tables
-// E1–E11, A1–A3 and persist (see DESIGN.md for the per-claim index and
+// E1–E9, E11, A1–A3 and persist (see DESIGN.md for the per-claim index and
 // EXPERIMENTS.md for the recorded results, which are
 // `lfbench -format markdown` output).
 //

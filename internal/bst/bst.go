@@ -106,12 +106,9 @@ func (w TreeWorkStats) ExtraWork() int64 {
 	return w.InsertRetries + w.Restarts + w.Helps + w.MoveScans
 }
 
-// New returns an empty tree under the given memory mode. RC options
-// (free-list striping, cell padding, backoff — see mm.NewRC) configure
-// the free list under mm.ModeRC and mm.ModeEBR and are ignored under
-// mm.ModeGC.
-func New[K cmp.Ordered, V any](mode mm.Mode, opts ...mm.RCOption) *Tree[K, V] {
-	manager := mm.NewManager[item[K, V]](mode, opts...)
+// New returns an empty tree under the given memory mode.
+func New[K cmp.Ordered, V any](mode mm.Mode) *Tree[K, V] {
+	manager := mm.NewManager[item[K, V]](mode)
 	mm.SetReclaimExtractor(manager, func(it *item[K, V]) (*mm.Node[item[K, V]], *mm.Node[item[K, V]]) {
 		return it.Left, it.Right
 	})

@@ -57,7 +57,7 @@ func TestHashSharesOneManager(t *testing.T) {
 	if got, want := h.MemStats().Live(), int64(3*8+2*100); got != want {
 		t.Errorf("MemStats().Live() = %d, want %d", got, want)
 	}
-	if got, want := h.MemStats().Stripes, m.Stats().Stripes; got != want {
-		t.Errorf("MemStats().Stripes = %d, want the shared manager's %d", got, want)
+	if got, want := h.MemStats().Created, m.Stats().Created; got != want {
+		t.Errorf("MemStats().Created = %d, want the shared manager's %d", got, want)
 	}
 }

@@ -24,14 +24,13 @@ var _ Dictionary[int, int] = (*Hash[int, int])(nil)
 // hash function. The bucket count is fixed for the structure's lifetime
 // (the paper's structure does not resize). nbuckets must be positive.
 // All buckets allocate from one manager, as the skip list's levels do, so
-// the table has one free list and, under mm.ModeEBR, one epoch domain; RC
-// options configure it as in NewSortedList.
-func NewHash[K cmp.Ordered, V any](nbuckets int, mode mm.Mode, hash func(K) uint64, opts ...mm.RCOption) *Hash[K, V] {
+// the table has one free list and, under mm.ModeEBR, one epoch domain.
+func NewHash[K cmp.Ordered, V any](nbuckets int, mode mm.Mode, hash func(K) uint64) *Hash[K, V] {
 	if nbuckets < 1 {
 		nbuckets = 1
 	}
 	h := &Hash[K, V]{
-		manager: mm.NewManager[entry[K, V]](mode, opts...),
+		manager: mm.NewManager[entry[K, V]](mode),
 		buckets: make([]*SortedList[K, V], nbuckets),
 		hash:    hash,
 	}

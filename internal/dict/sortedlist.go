@@ -29,11 +29,9 @@ type SortedList[K cmp.Ordered, V any] struct {
 var _ Dictionary[int, int] = (*SortedList[int, int])(nil)
 
 // NewSortedList returns an empty sorted-list dictionary whose cells come
-// from a fresh manager of the given mode. RC options (free-list striping,
-// cell padding, backoff — see mm.NewRC) configure the free list under
-// mm.ModeRC and mm.ModeEBR and are ignored under mm.ModeGC.
-func NewSortedList[K cmp.Ordered, V any](mode mm.Mode, opts ...mm.RCOption) *SortedList[K, V] {
-	return &SortedList[K, V]{list: core.New(mm.NewManager[entry[K, V]](mode, opts...))}
+// from a fresh manager of the given mode.
+func NewSortedList[K cmp.Ordered, V any](mode mm.Mode) *SortedList[K, V] {
+	return &SortedList[K, V]{list: core.New(mm.NewManager[entry[K, V]](mode))}
 }
 
 // List exposes the underlying lock-free list for structural checks and

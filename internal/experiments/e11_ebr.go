@@ -16,7 +16,7 @@ import (
 // axes where the modes differ: the C8 per-hop traversal cost (E8's
 // single-goroutine methodology — ebr exists precisely to remove the two
 // atomic counter updates SafeRead/Release charge per hop) and allocation
-// churn under multiprogramming (E9/E10's methodology — ebr's retire path
+// churn under multiprogramming (E9's methodology — ebr's retire path
 // defers cells through limbo, so its churn throughput shows the grace-
 // period overhead the traversal numbers do not). Every ebr arm ends with
 // a quiesce: limbo must drain completely and the live-cell count must
@@ -93,8 +93,9 @@ func E11(o Options) Table {
 		leak,
 	})
 
-	// Raw Alloc/Release churn with the E10 yield hook (the single-CPU
-	// analogue of a preempted process holding a CAS window open).
+	// Raw Alloc/Release churn with a yield before every free-list CAS
+	// (the single-CPU analogue of a preempted process holding a CAS
+	// window open).
 	for _, p := range procs {
 		gcRate, _ := churn(mm.NewGC[int](), p, o.duration(), holdPerG)
 		runtime.GC()
@@ -116,8 +117,8 @@ func E11(o Options) Table {
 		})
 	}
 
-	// End-to-end: the update-heavy sorted-list workload under torture
-	// (E10's dict row), once per mode.
+	// End-to-end: the update-heavy sorted-list workload under torture,
+	// once per mode.
 	gcOps, _ := e11Dict(o, mm.ModeGC)
 	rcOps, _ := e11Dict(o, mm.ModeRC)
 	ebrOps, dictLeak := e11Dict(o, mm.ModeEBR)
@@ -135,7 +136,7 @@ func E11(o Options) Table {
 		"ebr traversal hops are plain loads inside a pinned epoch (pin/unpin amortized once per cursor), so the per-hop cost must sit strictly below rc's two atomic counter updates and near the gc baseline",
 		"ebr still counts stored links (edges, descriptors), so mutation-heavy rows pay counted link maintenance plus limbo bookkeeping — reclamation cost moved off the reader, not eliminated",
 		"every ebr arm force-advances and drains at quiescence: limbo empty, live cells zero — the throughput columns are leak-audited",
-		"rc and ebr churn arms install the same free-list yield hook as E10; the gc arm has no free-list head to contend on")
+		"rc and ebr churn arms yield before every free-list Compare&Swap; the gc arm has no free-list head to contend on")
 	return t
 }
 
@@ -154,9 +155,10 @@ func e11Drain(q mm.Quiescer) string {
 	return "ok (0 live)"
 }
 
-// e11Dict runs the update-heavy sorted-list workload at p=4 under torture
-// (E10's dict-row methodology) for the given mode, returning ops/s and
-// the ebr leak-check cell ("-" for modes without deferred reclamation).
+// e11Dict runs the update-heavy sorted-list workload at p=4 under torture,
+// with a yield before every free-list Compare&Swap, for the given mode,
+// returning ops/s and the ebr leak-check cell ("-" for modes without
+// deferred reclamation).
 func e11Dict(o Options, mode mm.Mode) (float64, string) {
 	const p = 4
 	d := dict.NewSortedList[int, int](mode)

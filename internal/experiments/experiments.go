@@ -1,4 +1,4 @@
-// Package experiments implements the reproduction suite E1–E11 defined in
+// Package experiments implements the reproduction suite E1–E9 and E11 defined in
 // DESIGN.md: one experiment per evaluative claim of the paper. Each
 // experiment returns a Table with the same rows the claim predicts;
 // cmd/lfbench prints them and EXPERIMENTS.md records paper-expected vs
@@ -135,7 +135,6 @@ func All() []Runner {
 		{ID: "E7", Name: "direct vs universal construction", Run: E7},
 		{ID: "E8", Name: "SafeRead traversal overhead", Run: E8},
 		{ID: "E9", Name: "free-list alloc/reclaim", Run: E9},
-		{ID: "E10", Name: "striped free list under contention", Run: E10},
 		{ID: "E11", Name: "epoch-based reclamation vs rc/gc", Run: E11},
 		{ID: "A1", Name: "ablation: retry backoff", Run: A1},
 		{ID: "A2", Name: "ablation: aux-pair removal", Run: A2},

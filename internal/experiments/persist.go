@@ -1,6 +1,6 @@
 package experiments
 
-// Durability-cost experiment (beyond the paper's E1–E10): the same
+// Durability-cost experiment (beyond the E-series): the same
 // closed-loop SET/GET workload against an in-process valoisd server
 // under the three AOF fsync policies, plus the AOF disabled as the
 // baseline. The interesting number is the gap: appends happen after the

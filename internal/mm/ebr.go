@@ -101,11 +101,11 @@ type Quiescer interface {
 // The claim word leaves claimLive exactly once per life of the cell, at
 // its first count-zero Release, so a cell is never on two limbo lists.
 //
-// Allocation reuses the RC manager's striped free list verbatim — pops
-// are protected by the §5.1 transient-SafeRead argument, so Alloc needs
-// no pin and the ABA argument is unchanged.
+// Allocation reuses the RC manager's free list verbatim — pops are
+// protected by the §5.1 transient-SafeRead argument, so Alloc needs no pin
+// and the ABA argument is unchanged.
 type EBR[T any] struct {
-	fl *RC[T] // striped Figure 17/18 free list + alloc/reclaim counters
+	fl *RC[T] // Figure 17/18 free list + alloc/reclaim counters
 
 	epoch atomic.Int64 // global epoch; starts at 1 so slot 0 means "free"
 	banks slotBank     // first slot bank, inline; more are appended
@@ -120,10 +120,9 @@ var _ Manager[int] = (*EBR[int])(nil)
 var _ Pinner = (*EBR[int])(nil)
 var _ Quiescer = (*EBR[int])(nil)
 
-// NewEBR returns an epoch-based manager with an empty free list. The RC
-// options configure the underlying striped free list exactly as in NewRC.
-func NewEBR[T any](opts ...RCOption) *EBR[T] {
-	m := &EBR[T]{fl: NewRC[T](opts...)}
+// NewEBR returns an epoch-based manager with an empty free list.
+func NewEBR[T any]() *EBR[T] {
+	m := &EBR[T]{fl: NewRC[T]()}
 	m.fl.drop = m.Release // an allocator's transient reference retires through limbo too
 	m.epoch.Store(1)
 	return m
@@ -149,12 +148,9 @@ func (m *EBR[T]) SetReclaimExtractor(f func(item *T) (first, second *Node[T])) {
 // schedule explorer and the single-CPU torture methodology.
 func (m *EBR[T]) SetYieldHook(f func()) { m.fl.SetYieldHook(f) }
 
-// NumStripes reports the free-list stripe count.
-func (m *EBR[T]) NumStripes() int { return m.fl.NumStripes() }
-
-// Alloc pops a cell from the striped free list (Figure 17), growing the
-// arena when every stripe is empty. The pop's transient SafeRead bump is
-// the same ABA protection RC uses; no pin is required.
+// Alloc pops a cell from the free list (Figure 17), growing the arena
+// when the list is empty. The pop's transient SafeRead bump is the same
+// ABA protection RC uses; no pin is required.
 func (m *EBR[T]) Alloc() *Node[T] { return m.fl.Alloc() }
 
 // SafeRead is a plain atomic load: the caller's pin — not a per-cell
@@ -338,7 +334,7 @@ func (m *EBR[T]) tryAdvance() {
 }
 
 // drain detaches one limbo bucket and disposes of every cell on it: cells
-// whose count is still zero are freed into the striped free list — now
+// whose count is still zero are freed into the free list — now
 // releasing the counted references their next/back_link/item fields hold,
 // exactly as RC's Reclaim cascade does — and cells that were resurrected
 // (count bumped by a pinned goroutine that stored a new link before the
@@ -374,9 +370,7 @@ func (m *EBR[T]) free(n *Node[T]) {
 	}
 	m.fl.stats.reclaims.Add(1)
 	m.limboCount.Add(-1)
-	home, claimed := m.fl.claim(false)
-	m.fl.push(&m.fl.stripes[home], n)
-	m.fl.unclaim(home, claimed)
+	m.fl.push(n)
 	m.Release(next)
 	m.Release(back)
 	m.Release(extraA)
@@ -432,5 +426,5 @@ func (m *EBR[T]) Stats() Stats {
 	return s
 }
 
-// FreeLen counts free-list cells across stripes (quiescence only).
+// FreeLen counts free-list cells (quiescence only).
 func (m *EBR[T]) FreeLen() int { return m.fl.FreeLen() }

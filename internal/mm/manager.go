@@ -55,21 +55,14 @@ type Stats struct {
 	// The remaining fields describe free-list behavior and are always
 	// zero under the GC manager, which has no free list.
 
-	// Pops counts successful Figure 17 pops, summed over stripes.
+	// Pops counts successful Figure 17 pops.
 	Pops int64
-	// Pushes counts Figure 18 pushes, summed over stripes (reclaims plus
-	// the surplus cells each arena grow contributes).
+	// Pushes counts Figure 18 pushes (reclaims plus the surplus cells
+	// each arena grow contributes).
 	Pushes int64
 	// Grows counts arena growth events (batches of cells created because
-	// every stripe was empty).
+	// the free list was empty).
 	Grows int64
-	// Steals counts Allocs satisfied from a sibling stripe after the home
-	// stripe came up empty; a high rate means the stripes are imbalanced
-	// relative to the workload's per-goroutine alloc/release mix.
-	Steals int64
-	// Stripes is the number of free-list stripes the manager was built
-	// with (a configuration echo, not a counter).
-	Stripes int
 
 	// Epoch and Limbo are gauges of the EBR manager (zero elsewhere):
 	// the current global epoch and the number of retired cells awaiting
@@ -88,6 +81,9 @@ type stats struct {
 	allocs   atomic.Int64
 	reclaims atomic.Int64
 	created  atomic.Int64
+	pops     atomic.Int64
+	pushes   atomic.Int64
+	grows    atomic.Int64
 }
 
 func (s *stats) snapshot() Stats {
@@ -95,5 +91,8 @@ func (s *stats) snapshot() Stats {
 		Allocs:   s.allocs.Load(),
 		Reclaims: s.reclaims.Load(),
 		Created:  s.created.Load(),
+		Pops:     s.pops.Load(),
+		Pushes:   s.pushes.Load(),
+		Grows:    s.grows.Load(),
 	}
 }

@@ -43,18 +43,16 @@ func ParseMode(s string) (Mode, bool) {
 	}
 }
 
-// NewManager returns a fresh manager of the given mode. RC options
-// configure the free list under ModeRC and ModeEBR and are ignored by the
-// GC manager (which has no free list to stripe). It panics on an invalid
-// mode, which indicates a programming error at construction time.
-func NewManager[T any](mode Mode, opts ...RCOption) Manager[T] {
+// NewManager returns a fresh manager of the given mode. It panics on an
+// invalid mode, which indicates a programming error at construction time.
+func NewManager[T any](mode Mode) Manager[T] {
 	switch mode {
 	case ModeGC:
 		return NewGC[T]()
 	case ModeRC:
-		return NewRC[T](opts...)
+		return NewRC[T]()
 	case ModeEBR:
-		return NewEBR[T](opts...)
+		return NewEBR[T]()
 	default:
 		panic("mm: invalid Mode")
 	}

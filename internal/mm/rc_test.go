@@ -2,10 +2,13 @@ package mm
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+
+	"valois/internal/testenv"
 )
 
 func TestRCAllocGivesCallerReference(t *testing.T) {
@@ -256,10 +259,8 @@ func TestABANaiveStackCorrupts(t *testing.T) {
 // return to the free list while P1 is stalled, the head can never be A
 // again, and P1's Compare&Swap fails harmlessly (§5.1).
 func TestABAPreventedByReferenceCounts(t *testing.T) {
-	// A single stripe pins the schedule to one free-list head, exactly the
-	// paper's configuration.
-	m := NewRC[int](WithStripes(1), WithBatchSize(1))
-	free := &m.stripes[0].head
+	m := NewRC[int](WithBatchSize(1))
+	free := &m.head
 	// Materialize three cells and free them so the free list is C → B → A
 	// ... actually A → B → C in pop order (LIFO).
 	x, y, z := m.Alloc(), m.Alloc(), m.Alloc()
@@ -423,6 +424,125 @@ func TestRCConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRCFreeLenQuiescenceContract pins FreeLen's documented contract: at
+// quiescence it equals Created minus the cells currently checked out.
+func TestRCFreeLenQuiescenceContract(t *testing.T) {
+	m := NewRC[int](WithBatchSize(4))
+	var held []*Node[int]
+	for i := 0; i < 10; i++ {
+		held = append(held, m.Alloc())
+	}
+	for _, n := range held[:6] {
+		m.Release(n)
+	}
+	s := m.Stats()
+	if got, want := int64(m.FreeLen()), s.Created-s.Live(); got != want {
+		t.Fatalf("FreeLen = %d, want Created-Live = %d", got, want)
+	}
+	for _, n := range held[6:] {
+		m.Release(n)
+	}
+	s = m.Stats()
+	if s.Live() != 0 {
+		t.Fatalf("live = %d at quiescence, want 0", s.Live())
+	}
+	if got := int64(m.FreeLen()); got != s.Created {
+		t.Fatalf("FreeLen = %d at quiescence, want all %d created cells", got, s.Created)
+	}
+	// The free population is also exactly the push/pop imbalance.
+	if got := int64(m.FreeLen()); got != s.Pushes-s.Pops {
+		t.Fatalf("FreeLen = %d, want Pushes-Pops = %d", got, s.Pushes-s.Pops)
+	}
+}
+
+// TestRCCounterAccounting checks the counter identities that hold at
+// quiescence with a grow batch of one (each grow creates exactly the cell
+// it returns, so no grow surplus is ever pushed): every alloc is either a
+// pop or a grow, and every push is a reclaim.
+func TestRCCounterAccounting(t *testing.T) {
+	m := NewRC[int](WithBatchSize(1))
+	var held []*Node[int]
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 500; i++ {
+		if len(held) == 0 || rng.Intn(2) == 0 {
+			held = append(held, m.Alloc())
+		} else {
+			j := rng.Intn(len(held))
+			m.Release(held[j])
+			held[j] = held[len(held)-1]
+			held = held[:len(held)-1]
+		}
+	}
+	for _, n := range held {
+		m.Release(n)
+	}
+	s := m.Stats()
+	if s.Allocs != s.Pops+s.Grows {
+		t.Fatalf("allocs = %d, want pops+grows = %d+%d", s.Allocs, s.Pops, s.Grows)
+	}
+	if s.Pushes != s.Reclaims {
+		t.Fatalf("pushes = %d, want reclaims = %d (batch=1 has no grow surplus)", s.Pushes, s.Reclaims)
+	}
+}
+
+// TestRCStress hammers Alloc/Release from several goroutines, with the
+// yield hook opening the read-head-then-Compare&Swap windows so pops and
+// pushes actually interleave (on a single-CPU host they otherwise run
+// quasi-serially). The race detector run in CI executes this with
+// VALOIS_STRESS_DIV set; conservation must hold at quiescence.
+func TestRCStress(t *testing.T) {
+	const (
+		goroutines = 8
+		holdMax    = 24
+	)
+	iterations := testenv.Iters(20000)
+	m := NewRC[int](WithBatchSize(8))
+	var ctr atomic.Uint32
+	m.SetYieldHook(func() {
+		if ctr.Add(1)%16 == 0 {
+			runtime.Gosched()
+		}
+	})
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			var held []*Node[int]
+			for i := 0; i < iterations; i++ {
+				if len(held) < holdMax && (len(held) == 0 || rng.Intn(2) == 0) {
+					n := m.Alloc()
+					n.Item = i
+					held = append(held, n)
+				} else {
+					j := rng.Intn(len(held))
+					m.Release(held[j])
+					held[j] = held[len(held)-1]
+					held = held[:len(held)-1]
+				}
+			}
+			for _, n := range held {
+				m.Release(n)
+			}
+		}(int64(g + 1))
+	}
+	wg.Wait()
+	s := m.Stats()
+	if s.Live() != 0 {
+		t.Fatalf("live = %d at quiescence, want 0", s.Live())
+	}
+	if got := int64(m.FreeLen()); got != s.Created {
+		t.Fatalf("free list has %d cells, want all %d created", got, s.Created)
+	}
+	if got := int64(m.FreeLen()); got != s.Pushes-s.Pops {
+		t.Fatalf("FreeLen = %d, want Pushes-Pops = %d", got, s.Pushes-s.Pops)
+	}
+	if s.Allocs != s.Pops+s.Grows {
+		t.Fatalf("allocs = %d, want pops+grows = %d+%d", s.Allocs, s.Pops, s.Grows)
 	}
 }
 

@@ -255,10 +255,9 @@ func TestExhaustiveEBRSkipListPinnedDescent(t *testing.T) {
 	var value int
 	recycled := 0 // schedules in which the Insert ran after cells were reclaimed
 	build := func(yield func()) sched.Scenario {
-		// One stripe makes the free list a single LIFO: a freed cell is
-		// the very next one allocated. The seed gives 20 a two-level tower.
-		s = skiplist.New[int, int](mm.ModeEBR, skiplist.WithMaxLevel(2), skiplist.WithSeed(5),
-			skiplist.WithRCOptions(mm.WithStripes(1)))
+		// The free list is a single LIFO: a freed cell is the very next
+		// one allocated. The seed gives 20 a two-level tower.
+		s = skiplist.New[int, int](mm.ModeEBR, skiplist.WithMaxLevel(2), skiplist.WithSeed(5))
 		s.Insert(10, 10)
 		s.Insert(20, 20)
 		s.Insert(30, 30)

@@ -502,13 +502,10 @@ func (s *Server) Stats() []Stat {
 		{"mm_created", n(mem.Created)},
 		// Free-list behavior (all zero under mode=gc, which has no free
 		// list): pops/pushes are the Fig 17/18 traffic, grows the arena
-		// growth events, steals the cross-stripe pops, and stripes the
-		// manager's free-list stripe count.
+		// growth events.
 		{"mm_pops", n(mem.Pops)},
 		{"mm_pushes", n(mem.Pushes)},
 		{"mm_grows", n(mem.Grows)},
-		{"mm_steals", n(mem.Steals)},
-		{"mm_stripes", n(int64(mem.Stripes))},
 		// Epoch-based reclamation gauges (zero under gc): the
 		// manager's current epoch and its limbo population.
 		{"mm_epoch", n(mem.Epoch)},

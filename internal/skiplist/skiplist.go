@@ -80,7 +80,6 @@ type Option interface {
 type options struct {
 	maxLevel int
 	seed     uint64
-	rcOpts   []mm.RCOption
 }
 
 type maxLevelOption int
@@ -99,15 +98,6 @@ func (s seedOption) apply(o *options) { o.seed = uint64(s) }
 // tests and benchmarks.
 func WithSeed(seed uint64) Option { return seedOption(seed) }
 
-type rcOptionsOption []mm.RCOption
-
-func (r rcOptionsOption) apply(o *options) { o.rcOpts = append(o.rcOpts, r...) }
-
-// WithRCOptions forwards options to the skip list's free-list memory
-// manager (striping, cell padding, backoff — see mm.NewRC), used under
-// mm.ModeRC and mm.ModeEBR. Ignored under mm.ModeGC.
-func WithRCOptions(opts ...mm.RCOption) Option { return rcOptionsOption(opts) }
-
 // New returns an empty skip-list dictionary under the given memory mode.
 func New[K cmp.Ordered, V any](mode mm.Mode, opts ...Option) *SkipList[K, V] {
 	o := options{maxLevel: defaultMaxLevel, seed: 0x5eed}
@@ -117,7 +107,7 @@ func New[K cmp.Ordered, V any](mode mm.Mode, opts ...Option) *SkipList[K, V] {
 	if o.maxLevel < 1 {
 		o.maxLevel = 1
 	}
-	manager := mm.NewManager[item[K, V]](mode, o.rcOpts...)
+	manager := mm.NewManager[item[K, V]](mode)
 	mm.SetReclaimExtractor(manager, downOf[K, V])
 	return newOn(manager, o.maxLevel, o.seed)
 }
