@@ -214,7 +214,8 @@ func scan[K cmp.Ordered, V any](c *core.Cursor[entry[K, V]], start *K, f func(ke
 	var last K
 	for !c.End() {
 		e := &c.Target().Item
-		if (start == nil || e.Key >= *start) && (first || e.Key > last) {
+		// Once an item is reported, key > last implies key ≥ *start.
+		if first && (start == nil || e.Key >= *start) || !first && e.Key > last {
 			if v, ok := e.val.Load(); ok {
 				if !f(e.Key, v) {
 					return

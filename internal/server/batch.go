@@ -25,7 +25,7 @@ type batchEntry struct {
 	val        []byte // GET result
 	found      bool   // GET hit / DELETE deleted
 	err        error  // persist append failure (SERVER_ERROR) or errRangeUnordered
-	rangeItems []kv   // RANGE result
+	rangeItems []kv   // RANGE result, a capped sub-slice of the conn's item scratch
 	statItems  []Stat // STATS result
 }
 
@@ -34,8 +34,9 @@ type batchEntry struct {
 // one-at-a-time path always produced.
 var errRangeUnordered = errors.New("range on unordered backend")
 
-// execEntries executes a drained batch in request order.
-func (s *Server) execEntries(entries []batchEntry) {
+// execEntries executes a drained batch in request order. Its RANGEs
+// append their items to the connection's scratch r.
+func (s *Server) execEntries(entries []batchEntry, r *rangeScratch) {
 	for i := range entries {
 		e := &entries[i]
 		if e.readErr != nil {
@@ -45,7 +46,7 @@ func (s *Server) execEntries(entries []batchEntry) {
 		case proto.VerbGet, proto.VerbSet, proto.VerbDelete:
 			s.execKeyed(e)
 		default:
-			s.execMisc(e)
+			s.execMisc(e, r)
 		}
 	}
 }
@@ -103,19 +104,19 @@ func (s *Server) execKeyed(e *batchEntry) {
 }
 
 // execMisc executes a non-keyed command.
-func (s *Server) execMisc(e *batchEntry) {
+func (s *Server) execMisc(e *batchEntry, r *rangeScratch) {
 	if s.panicHook != nil {
 		s.panicHook(e.cmd)
 	}
 	switch e.cmd.Verb {
 	case proto.VerbRange:
 		s.cmdRange.Add(1)
-		if !s.Ordered() {
+		if s.ordered == nil {
 			s.protoErrs.Add(1)
 			e.err = errRangeUnordered
 			return
 		}
-		e.rangeItems = s.rangeFrom(e.cmd.Key, e.cmd.Count)
+		e.rangeItems = s.rangeFrom(r, e.cmd.Key, e.cmd.Count)
 	case proto.VerbStats:
 		s.cmdStats.Add(1)
 		e.statItems = s.Stats()

@@ -30,10 +30,11 @@ type conn struct {
 	srv *Server
 	nc  net.Conn
 
-	// entries and out are the batch scratch — the drained requests and
-	// their encoded replies — reused across loop iterations and touched
-	// only by the serving goroutine.
+	// entries, ranges and out are the batch scratch — the drained
+	// requests, their RANGE items and their encoded replies — reused
+	// across loop iterations and touched only by the serving goroutine.
 	entries []batchEntry
+	ranges  rangeScratch
 	out     []byte
 
 	mu      sync.Mutex
@@ -74,6 +75,11 @@ const (
 	// batches; one that a burst grew past it is dropped after the write,
 	// so an idle connection never pins a burst-sized buffer.
 	maxIdleReply = 64 << 10
+
+	// maxIdleItems is the largest RANGE item scratch a connection keeps
+	// between batches (40 B an item, so 40 KiB); one that a burst grew
+	// past it is dropped after the write, like an oversized reply buffer.
+	maxIdleItems = 1 << 10
 )
 
 // countingReader counts bytes read off the socket into the server's
@@ -159,6 +165,7 @@ func (c *conn) serve() {
 		// values and results, or one deep pipeline would keep them
 		// reachable for as long as the connection then sits idle.
 		clear(c.entries)
+		c.ranges.reset()
 		if cap(c.out) > maxIdleReply {
 			c.out = nil
 		}
@@ -213,7 +220,7 @@ func (c *conn) execAndReply(codec proto.ServerCodec, entries []batchEntry, dst [
 			quit = true
 		}
 	}()
-	c.srv.execEntries(entries)
+	c.srv.execEntries(entries, &c.ranges)
 	if len(entries) > 1 {
 		c.srv.batches.Add(1)
 		c.srv.batchedOps.Add(int64(len(entries)))

@@ -121,8 +121,8 @@ const (
 	DefaultWriteTimeout = 30 * time.Second
 )
 
-// ordered is the iteration surface of the skip list and the tree; the
-// hash backend does not provide it and RANGE is rejected there.
+// ordered is the skip list's iteration surface; the hash backend does
+// not provide it and RANGE is rejected there.
 type ordered interface {
 	RangeFrom(start string, f func(key string, value []byte) bool)
 }
@@ -152,7 +152,10 @@ type Server struct {
 	cfg   Config
 	mode  mm.Mode
 	store store
-	start time.Time
+	// ordered is store's RANGE surface, resolved once in New; nil for
+	// the hash backend.
+	ordered ordered
+	start   time.Time
 
 	mu      sync.Mutex
 	ln      net.Listener
@@ -254,6 +257,7 @@ func New(cfg Config) (*Server, error) {
 		conns:    make(map[*conn]struct{}),
 		snapStop: make(chan struct{}),
 	}
+	s.ordered, _ = st.(ordered)
 	if cfg.PersistDir != "" {
 		if err := s.openPersist(); err != nil {
 			s.store.Close()
@@ -275,10 +279,7 @@ func newStore(cfg Config, mode mm.Mode) (store, error) {
 }
 
 // Ordered reports whether the configured backend supports RANGE.
-func (s *Server) Ordered() bool {
-	_, ok := s.store.(ordered)
-	return ok
-}
+func (s *Server) Ordered() bool { return s.ordered != nil }
 
 // Recovery reports what New recovered from PersistDir (zero value when
 // persistence is disabled or the directory was empty).
@@ -514,22 +515,52 @@ func (s *Server) Stats() []Stat {
 	return append(stats, s.persistStats()...)
 }
 
-// rangeFrom returns the first count items with key ≥ start, in key order;
-// count ≥ 1 (proto rejects anything else). It is the backend's own cursor
-// scan, stopped once count items are held: one descent to start, then one
+// rangeFrom appends the first count items with key ≥ start, in key
+// order, to the connection's item scratch r and returns them; count ≥ 1
+// (proto rejects anything else). It is the backend's own cursor scan,
+// stopped once count items are held: one descent to start, then one
 // level-0 hop per item returned plus whatever concurrently deleted cells
-// the backend's monotonicity filter skips. The reply grows with the items
-// found, never from the client's count.
-func (s *Server) rangeFrom(start string, count int) []kv {
-	var items []kv
-	s.store.(ordered).RangeFrom(start, func(k string, v []byte) bool {
-		items = append(items, kv{k, v})
-		return len(items) < count
-	})
-	return items
+// the backend's monotonicity filter skips. The result is capped at its
+// own length, so a later RANGE appending to r never writes into it, and
+// nothing is sized from the client's count. Items hold Go-heap keys and
+// values, never arena cells, so they stay valid after the scan's cursor
+// (and under ebr its epoch pin) is released.
+func (s *Server) rangeFrom(r *rangeScratch, start string, count int) []kv {
+	if r.yield == nil {
+		r.yield = r.add // bound once per connection, not per RANGE
+	}
+	begin := len(r.items)
+	r.limit = begin + count
+	s.ordered.RangeFrom(start, r.yield)
+	return r.items[begin:len(r.items):len(r.items)]
 }
 
 type kv struct {
 	key   string
 	value []byte
+}
+
+// rangeScratch is a connection's RANGE item buffer: every RANGE of a
+// batch appends its items to items, and the batch's replies read them
+// from there. Like the entries scratch it is touched only by the serving
+// goroutine and cleared after each reply (see conn.serve).
+type rangeScratch struct {
+	items []kv
+	limit int                                 // len(items) at which the current RANGE stops
+	yield func(key string, value []byte) bool // add as a func value
+}
+
+func (r *rangeScratch) add(key string, value []byte) bool {
+	r.items = append(r.items, kv{key, value})
+	return len(r.items) < r.limit
+}
+
+// reset drops the scratch's references to keys and values, and drops
+// the buffer itself once a burst grew it past maxIdleItems.
+func (r *rangeScratch) reset() {
+	clear(r.items)
+	r.items = r.items[:0]
+	if cap(r.items) > maxIdleItems {
+		r.items = nil
+	}
 }

@@ -470,7 +470,8 @@ func scan[K cmp.Ordered, V any](c *core.Cursor[item[K, V]], start *K, f func(key
 	var last K
 	for !c.End() {
 		it := &c.Target().Item
-		if (start == nil || it.Key >= *start) && (first || it.Key > last) {
+		// Once an item is reported, key > last implies key ≥ *start.
+		if first && (start == nil || it.Key >= *start) || !first && it.Key > last {
 			if v, ok := it.val.Load(); ok {
 				if !f(it.Key, v) {
 					return
