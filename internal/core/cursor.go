@@ -131,32 +131,51 @@ func (c *Cursor[T]) Valid() bool { return c.preAux.Next() == c.target }
 // normal cell (or Last).
 func (c *Cursor[T]) Update() { c.update() }
 
-func (c *Cursor[T]) update() {
+// update is Update, returning the number of extra auxiliary nodes it
+// passed for Next's hop count.
+func (c *Cursor[T]) update() (skipped int64) {
 	l := c.list
 	if c.preAux.Next() == c.target { // Fig 5 line 1: already valid
-		return
+		return 0
 	}
-	p := c.preAux                  // refs: cursor's pre_aux reference transfers to p
-	n := l.safeRead(p.NextAddr())  // Fig 5 line 4
-	l.release(c.target)            // Fig 5 line 5
+	p := c.preAux                 // refs: cursor's pre_aux reference transfers to p
+	n := l.safeRead(p.NextAddr()) // Fig 5 line 4
+	l.release(c.target)           // Fig 5 line 5
+	if n != l.last && n.IsAux() { // Fig 5 line 6
+		p, n, skipped = l.skipAux(c.preCell, p, n)
+	}
+	c.preAux = p // Fig 5 line 11
+	c.target = n // Fig 5 line 12
+	return skipped
+}
+
+// skipAux is Update's loop (Figure 5 lines 6-10), entered when the node
+// n after the auxiliary node p, which follows the normal cell cell, is
+// itself auxiliary: it walks over the chain of auxiliary nodes, removing
+// the first of each adjacent pair it meets, and returns the last
+// auxiliary node and the normal cell (or Last) after it, both held,
+// with the number of extra auxiliary nodes passed. The caller's
+// references on p and n transfer in; cell stays the caller's.
+func (l *List[T]) skipAux(cell, p, n *mm.Node[T]) (*mm.Node[T], *mm.Node[T], int64) {
+	var skipped int64
 	for n != l.last && n.IsAux() { // Fig 5 line 6
 		// Fig 5 line 7: two adjacent auxiliary nodes — try to unlink the
-		// first by swinging pre_cell's next past it. If pre_cell has
-		// itself been deleted this swing is harmless: it updates a cell
-		// that is no longer reachable from the list.
+		// first by swinging cell's next past it. If cell has itself been
+		// deleted this swing is harmless: it updates a cell that is no
+		// longer reachable from the list.
 		l.maybeYield()
-		if !l.noAuxRemoval && c.preCell.CASNext(p, n) {
-			l.linkRef(n) // refs: new link pre_cell→n
-			l.unlink(p)  // refs: dropped link pre_cell→p
+		if !l.noAuxRemoval && cell.CASNext(p, n) {
+			l.linkRef(n) // refs: new link cell→n
+			l.unlink(p)  // refs: dropped link cell→p
 			l.stats.addAuxRemovals(1)
 		}
 		l.release(p)                 // Fig 5 line 8: our traversal reference
 		p = n                        // Fig 5 line 9
 		n = l.safeRead(p.NextAddr()) // Fig 5 line 10
-		l.stats.addAuxSkips(1)
+		skipped++
 	}
-	c.preAux = p // Fig 5 line 11
-	c.target = n // Fig 5 line 12
+	l.stats.addAuxSkips(skipped)
+	return p, n, skipped
 }
 
 // Next advances the cursor to the next position, implementing Next
@@ -173,8 +192,47 @@ func (c *Cursor[T]) Next() bool {
 	next := l.safeRead(c.target.NextAddr()) // Fig 7 line 6
 	l.release(c.preAux)                     // Fig 7 line 5
 	c.preAux = next
-	c.update() // Fig 7 line 7
+	l.stats.addHops(2 + c.update()) // Fig 7 line 7
 	return true
+}
+
+// Links are the two nodes after a cell that a read step follows: the
+// auxiliary node after it and the node after that. LinksAfter loads
+// them; Succ finishes the step from them.
+type Links[T any] struct {
+	aux, next *mm.Node[T]
+}
+
+// LinksAfter starts the cursorless read step from the cell p (Figure 7
+// line 6, Figure 5 line 4): a normal cell or First of this list that
+// the caller safely holds — under mm.EBR, inside a Pin — and that may
+// have been deleted, since its next pointer is preserved (§2.2). The
+// links are traversal references that the Succ given them consumes.
+//
+// The step is split at its first cache miss so that a reader advancing
+// many positions in turns — the skip list's batched lookups — can load
+// every position's links a round before it finishes any step, and the
+// misses of independent positions overlap.
+func (l *List[T]) LinksAfter(p *mm.Node[T]) Links[T] {
+	a := l.safeRead(p.NextAddr())
+	return Links[T]{aux: a, next: l.safeRead(a.NextAddr())}
+}
+
+// Succ finishes the cursorless read step from p, whose links ln were
+// loaded by LinksAfter(p): it is Next (Figure 7) and the Update it ends
+// with (Figure 5) without a cursor, and returns the normal cell after p,
+// or Last, as a traversal reference the caller gives up with Unhold.
+// Like Update, it unlinks the first of any two adjacent auxiliary nodes
+// it passes, running the yield hook before each such Compare&Swap.
+func (l *List[T]) Succ(p *mm.Node[T], ln Links[T]) *mm.Node[T] {
+	a, n := ln.aux, ln.next
+	var skipped int64
+	if n != l.last && n.IsAux() {
+		a, n, skipped = l.skipAux(p, a, n)
+	}
+	l.release(a)
+	l.stats.addHops(2 + skipped)
+	return n
 }
 
 // TryInsert attempts to insert the normal cell q, followed by the

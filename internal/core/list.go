@@ -11,6 +11,15 @@
 // collapsed by Update and TryDelete (§3's final argument shows they vanish
 // once all deletions complete — TestAuxChainsCollapse reproduces it).
 //
+// Besides the cursor, the list offers a cursorless read step: Next and
+// Update (Figures 5 and 7) taken from a cell the caller holds, for
+// readers that keep only the cell they stopped behind — the skip list's
+// batched lookups, which hold many such positions at once and advance
+// them in turns. The step is split at its first cache miss: LinksAfter
+// loads the links after the cell, Succ follows them to the next normal
+// cell, keeping Update's removal of adjacent auxiliary nodes and its
+// yield hook. Pin/Unpin give it the epoch a cursor would hold.
+//
 // All memory is obtained from an mm.Manager, so the same algorithm text
 // runs both under the paper's reference-count scheme (mm.RC) and under the
 // Go garbage collector (mm.GC). Reference-count bookkeeping beyond the
@@ -127,6 +136,18 @@ func (l *List[T]) unpin(g mm.Guard, pinned bool) {
 		l.pinner.Unpin(g)
 	}
 }
+
+// Pin enters the epoch a cursorless read (Succ) needs under mm.EBR — the
+// pin a cursor takes when it is opened — and returns the guard to hand
+// to Unpin. One pin covers every list of the manager. Under the other
+// managers the guard is empty and both calls do nothing.
+func (l *List[T]) Pin() mm.Guard {
+	g, _ := l.pin()
+	return g
+}
+
+// Unpin leaves the epoch entered by Pin.
+func (l *List[T]) Unpin(g mm.Guard) { l.unpin(g, l.pinner != nil) }
 
 // New builds an empty list: the two dummy cells separated by a single
 // auxiliary node (Figure 4). The manager supplies and reclaims all cells.

@@ -424,3 +424,54 @@ func TestValidAndUpdate(t *testing.T) {
 		}
 	})
 }
+
+// TestSuccWalksLikeNext: the cursorless read step visits the positions
+// a cursor's Next visits, counts two cells per step in Hops (the
+// auxiliary node and the cell after it) as Next does, and under rc gives
+// back every reference it hands out.
+func TestSuccWalksLikeNext(t *testing.T) {
+	for _, m := range []mm.Manager[int]{mm.NewGC[int](), mm.NewRC[int](), mm.NewEBR[int]()} {
+		l := New(m)
+		insertAll(t, l, 5, 4, 3, 2, 1)
+		l.EnableStats()
+		var viaNext []int
+		c := l.NewCursor()
+		for !c.End() {
+			viaNext = append(viaNext, c.Item())
+			c.Next()
+		}
+		c.Close()
+		if got := l.Stats().Snapshot().Hops; got != 2*5 {
+			t.Errorf("%T: Next from the first item to the end: Hops = %d, want 10", m, got)
+		}
+		l.Stats().Reset()
+		var viaSucc []int
+		g := l.Pin()
+		p := l.First()
+		l.Hold(p)
+		for {
+			n := l.Succ(p, l.LinksAfter(p))
+			l.Unhold(p)
+			if n == l.Last() {
+				l.Unhold(n)
+				break
+			}
+			viaSucc = append(viaSucc, n.Item)
+			p = n
+		}
+		l.Unpin(g)
+		if !equalItems(viaSucc, viaNext) || len(viaSucc) != 5 {
+			t.Errorf("%T: Succ from First visits %v, Next visits %v", m, viaSucc, viaNext)
+		}
+		if got := l.Stats().Snapshot().Hops; got != 2*6 {
+			t.Errorf("%T: Succ from First to Last: Hops = %d, want 12", m, got)
+		}
+		l.Close()
+		if q, ok := m.(mm.Quiescer); ok {
+			q.Quiesce()
+		}
+		if _, gc := m.(*mm.GC[int]); !gc && m.Stats().Live() != 0 {
+			t.Errorf("%T: %d live cells after Close, want 0", m, m.Stats().Live())
+		}
+	}
+}

@@ -8,6 +8,7 @@ import "sync/atomic"
 // chain-collapse steps, and operation retries. All methods are safe on a
 // nil receiver (counting disabled) and safe for concurrent use.
 type Counters struct {
+	hops             atomic.Int64
 	auxSkips         atomic.Int64
 	auxRemovals      atomic.Int64
 	backlinkSteps    atomic.Int64
@@ -19,6 +20,11 @@ type Counters struct {
 
 // WorkStats is a plain snapshot of Counters.
 type WorkStats struct {
+	// Hops counts the cells a read visits: each step of Cursor.Next or
+	// List.Succ passes the auxiliary node after its cell and lands on
+	// the next normal cell (two cells), plus any extra auxiliary nodes
+	// it skips. It is the traversal's base work, not extra work.
+	Hops int64
 	// AuxSkips counts auxiliary nodes traversed by Update beyond the
 	// single auxiliary node every position always has: the paper's
 	// "work done traversing extra auxiliary nodes" (§4.1).
@@ -49,6 +55,7 @@ func (w WorkStats) ExtraWork() int64 {
 // Add accumulates o into w, field by field; the dictionaries sum their
 // lists' snapshots with it.
 func (w *WorkStats) Add(o WorkStats) {
+	w.Hops += o.Hops
 	w.AuxSkips += o.AuxSkips
 	w.AuxRemovals += o.AuxRemovals
 	w.BacklinkSteps += o.BacklinkSteps
@@ -65,6 +72,7 @@ func (c *Counters) Snapshot() WorkStats {
 		return WorkStats{}
 	}
 	return WorkStats{
+		Hops:             c.hops.Load(),
 		AuxSkips:         c.auxSkips.Load(),
 		AuxRemovals:      c.auxRemovals.Load(),
 		BacklinkSteps:    c.backlinkSteps.Load(),
@@ -80,6 +88,7 @@ func (c *Counters) Reset() {
 	if c == nil {
 		return
 	}
+	c.hops.Store(0)
 	c.auxSkips.Store(0)
 	c.auxRemovals.Store(0)
 	c.backlinkSteps.Store(0)
@@ -104,6 +113,13 @@ func (c *Counters) AddDeleteRetries(n int64) {
 		return
 	}
 	c.deleteRetries.Add(n)
+}
+
+func (c *Counters) addHops(n int64) {
+	if c == nil {
+		return
+	}
+	c.hops.Add(n)
 }
 
 func (c *Counters) addAuxSkips(n int64) {

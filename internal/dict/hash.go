@@ -47,6 +47,14 @@ func (h *Hash[K, V]) bucket(key K) *SortedList[K, V] {
 // Find reports the value stored under key.
 func (h *Hash[K, V]) Find(key K) (V, bool) { return h.bucket(key).Find(key) }
 
+// FindBatch looks up keys[i] into vals[i] and oks[i], one Find per key
+// in order. vals and oks must be at least as long as keys.
+func (h *Hash[K, V]) FindBatch(keys []K, vals []V, oks []bool) {
+	for i, k := range keys {
+		vals[i], oks[i] = h.Find(k)
+	}
+}
+
 // Insert adds the item if the key is not present, reporting whether it
 // inserted.
 func (h *Hash[K, V]) Insert(key K, value V) bool { return h.bucket(key).Insert(key, value) }

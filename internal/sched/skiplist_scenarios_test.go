@@ -190,3 +190,60 @@ func TestExhaustiveSkipListInsertVsDelete(t *testing.T) {
 		t.Logf("skiplist insert vs delete: %d schedules, ≤%d decisions", res.Schedules, res.MaxDecisions)
 	})
 }
+
+// TestExhaustiveSkipListFindBatchOrder races FindBatch([a, b]) against
+// Upsert(b); Upsert(a). The batch's two lookups must linearize in
+// request order, as two Finds in a row would: if the lookup of a sees
+// a's new value, both Upserts came before it, so the later lookup of b
+// sees b's new value too. The outcome (a new, b old) is forbidden. The
+// fixture makes b's descent end before a's, so a batch that loaded
+// boxes where its interleaved descents end, instead of in request order
+// afterwards, would read b before a and show that outcome.
+func TestExhaustiveSkipListFindBatchOrder(t *testing.T) {
+	const a, b = 30, 10
+	skipModes(t, func(t *testing.T, mode mm.Mode) {
+		var s *skiplist.SkipList[int, int]
+		vals, oks := make([]int, 2), make([]bool, 2)
+		build := func(yield func()) sched.Scenario {
+			// With this seed only 20 has an index cell: a's descent
+			// takes three steps, b's two.
+			s = skiplist.New[int, int](mode, skiplist.WithMaxLevel(2), skiplist.WithSeed(5))
+			s.Insert(b, b)
+			s.Insert(20, 20)
+			s.Insert(a, a)
+			if top := s.Level(1).Len(); top != 1 {
+				panic(fmt.Sprintf("fixture: %d index cells on level 1, want only 20's", top))
+			}
+			s.SetYieldHook(yield)
+			clear(vals)
+			clear(oks)
+			return sched.Scenario{
+				Threads: []func(){
+					func() { s.FindBatch([]int{a, b}, vals, oks) },
+					func() {
+						s.Upsert(b, b+1)
+						s.Upsert(a, a+1)
+					},
+				},
+				Check: func() error {
+					s.SetYieldHook(nil)
+					if !oks[0] || !oks[1] {
+						return fmt.Errorf("FindBatch missed a bound key: oks = %v", oks)
+					}
+					if vals[0] == a+1 && vals[1] == b {
+						return fmt.Errorf("FindBatch([%d, %d]) = %v: saw the second Upsert but not the first", a, b, vals)
+					}
+					return s.Level(0).CheckQuiescent()
+				},
+			}
+		}
+		res, err := sched.Explore(sched.Options{MaxSchedules: 400_000}, build)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Truncated {
+			t.Fatal("exploration truncated; raise the cap")
+		}
+		t.Logf("FindBatch vs two Upserts: %d schedules, ≤%d decisions", res.Schedules, res.MaxDecisions)
+	})
+}

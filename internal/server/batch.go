@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"slices"
 
 	"valois/internal/proto"
 )
@@ -34,29 +35,64 @@ type batchEntry struct {
 // one-at-a-time path always produced.
 var errRangeUnordered = errors.New("range on unordered backend")
 
-// execEntries executes a drained batch in request order. Its RANGEs
-// append their items to the connection's scratch r.
-func (s *Server) execEntries(entries []batchEntry, r *rangeScratch) {
-	for i := range entries {
+// execEntries executes a drained batch in request order. Each maximal
+// run of consecutive GETs is one store.FindBatch, whose lookups
+// linearize in request order too; its RANGEs append their items to the
+// connection's scratch.
+func (s *Server) execEntries(entries []batchEntry, sc *batchScratch) {
+	for i := 0; i < len(entries); {
 		e := &entries[i]
-		if e.readErr != nil {
+		switch {
+		case e.readErr != nil:
+		case e.cmd.Verb == proto.VerbGet:
+			j := i + 1
+			for j < len(entries) && entries[j].readErr == nil && entries[j].cmd.Verb == proto.VerbGet {
+				j++
+			}
+			s.execGets(entries[i:j], sc)
+			i = j
 			continue
-		}
-		switch e.cmd.Verb {
-		case proto.VerbGet, proto.VerbSet, proto.VerbDelete:
+		case e.cmd.Verb == proto.VerbSet, e.cmd.Verb == proto.VerbDelete:
 			s.execKeyed(e)
 		default:
-			s.execMisc(e, r)
+			s.execMisc(e, &sc.ranges)
 		}
+		i++
 	}
 }
 
-// execKeyed executes one keyed command. A mutation with persistence on
-// holds its key's logMu stripe across its apply and its append — the
-// ordering contract of persist.go — and no longer; the unlock is deferred
-// so a panicking backend (see TestPanicIsolation) cannot leak the lock.
+// execGets executes a run of GETs as one store.FindBatch over the
+// connection's scratch, so a warm run allocates nothing.
+func (s *Server) execGets(run []batchEntry, sc *batchScratch) {
+	n := len(run)
+	keys := slices.Grow(sc.keys[:0], n)[:n]
+	vals := slices.Grow(sc.vals[:0], n)[:n]
+	oks := slices.Grow(sc.oks[:0], n)[:n]
+	sc.keys, sc.vals, sc.oks = keys, vals, oks
+	for i := range run {
+		if s.panicHook != nil {
+			s.panicHook(run[i].cmd)
+		}
+		keys[i] = run[i].cmd.Key
+	}
+	s.store.FindBatch(keys, vals, oks)
+	hits := 0
+	for i := range run {
+		run[i].val, run[i].found = vals[i], oks[i]
+		if oks[i] {
+			hits++
+		}
+	}
+	s.getHits.Add(int64(hits))
+	s.getMisses.Add(int64(n - hits))
+}
+
+// execKeyed executes one SET or DELETE. With persistence on it holds
+// its key's logMu stripe across its apply and its append — the ordering
+// contract of persist.go — and no longer; the unlock is deferred so a
+// panicking backend (see TestPanicIsolation) cannot leak the lock.
 func (s *Server) execKeyed(e *batchEntry) {
-	if s.log != nil && e.cmd.Verb != proto.VerbGet {
+	if s.log != nil {
 		mu := &s.logMu[logStripe(e.cmd.Key)]
 		mu.Lock()
 		defer mu.Unlock()
@@ -65,14 +101,6 @@ func (s *Server) execKeyed(e *batchEntry) {
 		s.panicHook(e.cmd)
 	}
 	switch e.cmd.Verb {
-	case proto.VerbGet:
-		if v, ok := s.store.Find(e.cmd.Key); ok {
-			s.getHits.Add(1)
-			e.val, e.found = v, true
-		} else {
-			s.getMisses.Add(1)
-		}
-
 	case proto.VerbSet:
 		s.cmdSet.Add(1)
 		s.store.Upsert(e.cmd.Key, e.cmd.Value)

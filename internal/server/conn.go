@@ -30,11 +30,12 @@ type conn struct {
 	srv *Server
 	nc  net.Conn
 
-	// entries, ranges and out are the batch scratch — the drained
-	// requests, their RANGE items and their encoded replies — reused
-	// across loop iterations and touched only by the serving goroutine.
+	// entries, scratch and out are the batch scratch — the drained
+	// requests, their GET runs and RANGE items, and their encoded
+	// replies — reused across loop iterations and touched only by the
+	// serving goroutine.
 	entries []batchEntry
-	ranges  rangeScratch
+	scratch batchScratch
 	out     []byte
 
 	mu      sync.Mutex
@@ -165,7 +166,7 @@ func (c *conn) serve() {
 		// values and results, or one deep pipeline would keep them
 		// reachable for as long as the connection then sits idle.
 		clear(c.entries)
-		c.ranges.reset()
+		c.scratch.reset()
 		if cap(c.out) > maxIdleReply {
 			c.out = nil
 		}
@@ -220,7 +221,7 @@ func (c *conn) execAndReply(codec proto.ServerCodec, entries []batchEntry, dst [
 			quit = true
 		}
 	}()
-	c.srv.execEntries(entries, &c.ranges)
+	c.srv.execEntries(entries, &c.scratch)
 	if len(entries) > 1 {
 		c.srv.batches.Add(1)
 		c.srv.batchedOps.Add(int64(len(entries)))

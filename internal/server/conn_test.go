@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"valois/internal/proto"
+	"valois/internal/testenv"
 )
 
 // servePipe serves one connection of srv over net.Pipe and returns the
@@ -25,15 +26,15 @@ func servePipe(srv *Server) (client net.Conn, c *conn, served chan struct{}) {
 	return client, c, served
 }
 
-// TestBatchScratchDropsReferences: the entries and RANGE item scratch
-// are reused for the life of a connection, so after a deep pipeline
+// TestBatchScratchDropsReferences: the entries, GET run and RANGE item
+// scratch are reused for the life of a connection, so after a deep pipeline
 // followed by a small batch no slot — live or beyond the live length —
 // may still reference request values or results, or an idle connection
 // would pin its largest burst (up to maxBatch × 1 MiB of values,
 // 65 536-pair RANGE results). An item scratch the burst grew past
 // maxIdleItems is dropped, not kept for the small batch.
 func TestBatchScratchDropsReferences(t *testing.T) {
-	const burstOps, filled = 48, 2 * maxIdleItems
+	const burstOps, gets, filled = 48, 4, 2 * maxIdleItems
 	srv := newTestServer(t, Config{Backend: BackendSkipList, Mode: "gc"})
 	for i := 0; i < filled; i++ {
 		srv.put(fmt.Sprintf("fill%05d", i))
@@ -44,7 +45,9 @@ func TestBatchScratchDropsReferences(t *testing.T) {
 	for i := 0; i < burstOps; i++ {
 		fmt.Fprintf(&burst, "SET key%02d 64\r\n%s\r\n", i, strings.Repeat("v", 64))
 	}
-	fmt.Fprintf(&burst, "GET key00\r\nRANGE fill %d\r\nSTATS\r\n", proto.MaxRange) // filled items
+	// GET runs of 3 and 1: the second must not hide the first's slots.
+	burst.WriteString("GET key00\r\nGET key01\r\nGET nokey\r\n")
+	fmt.Fprintf(&burst, "RANGE fill %d\r\nGET key02\r\nSTATS\r\n", proto.MaxRange) // filled items
 	replies := bufio.NewReader(client)
 	// roundTrip sends req and reads replies up to the ends-th END line.
 	roundTrip := func(req string, ends int) {
@@ -62,17 +65,17 @@ func TestBatchScratchDropsReferences(t *testing.T) {
 			}
 		}
 	}
-	roundTrip(burst.String(), 3) // GET, RANGE and STATS each end in END
+	roundTrip(burst.String(), gets+2) // each GET, RANGE and STATS ends in END
 	roundTrip("RANGE key01 2\r\n", 1)
 	client.Close()
 	<-served // serve has returned: c's scratch is ours to read
 
-	if got := srv.batchedOps.Load(); got != burstOps+3 {
-		t.Fatalf("batched_ops = %d, want the burst as one batch of %d", got, burstOps+3)
+	if got := srv.batchedOps.Load(); got != burstOps+gets+2 {
+		t.Fatalf("batched_ops = %d, want the burst as one batch of %d", got, burstOps+gets+2)
 	}
 	all := c.entries[:cap(c.entries)]
-	if len(all) < burstOps+3 {
-		t.Fatalf("scratch capacity %d, want >= %d", len(all), burstOps+3)
+	if len(all) < burstOps+gets+2 {
+		t.Fatalf("scratch capacity %d, want >= %d", len(all), burstOps+gets+2)
 	}
 	for i := range all {
 		e := &all[i]
@@ -81,7 +84,21 @@ func TestBatchScratchDropsReferences(t *testing.T) {
 				i, len(e.cmd.Value), len(e.val), len(e.rangeItems), len(e.statItems))
 		}
 	}
-	items := c.ranges.items[:cap(c.ranges.items)]
+	keys, vals := c.scratch.keys[:cap(c.scratch.keys)], c.scratch.vals[:cap(c.scratch.vals)]
+	if len(keys) < 3 || len(vals) < 3 {
+		t.Fatalf("GET run scratch capacity %d keys, %d values; want >= 3", len(keys), len(vals))
+	}
+	for i := range keys {
+		if keys[i] != "" {
+			t.Errorf("scratch.keys[%d] still references key %q", i, keys[i])
+		}
+	}
+	for i := range vals {
+		if vals[i] != nil {
+			t.Errorf("scratch.vals[%d] still references %d value bytes", i, len(vals[i]))
+		}
+	}
+	items := c.scratch.ranges.items[:cap(c.scratch.ranges.items)]
 	if len(items) == 0 || len(items) > maxIdleItems {
 		t.Fatalf("item scratch capacity %d after a 2-item RANGE following a %d-item one, want 1..%d", len(items), filled, maxIdleItems)
 	}
@@ -125,6 +142,68 @@ func TestReplyBufferDroppedAfterBurst(t *testing.T) {
 	}
 }
 
+// encodeRequest encodes one request, given as its words (a SET's third
+// word is the value), on protocol's wire.
+func encodeRequest(protocol string, req []string) string {
+	if protocol == proto.ProtocolRESP {
+		enc := fmt.Sprintf("*%d\r\n", len(req))
+		for _, arg := range req {
+			enc += fmt.Sprintf("$%d\r\n%s\r\n", len(arg), arg)
+		}
+		return enc
+	}
+	if req[0] == "SET" {
+		return fmt.Sprintf("SET %s %d\r\n%s\r\n", req[1], len(req[2]), req[2])
+	}
+	return strings.Join(req, " ") + "\r\n"
+}
+
+// serveBursts serves the bursts of requests, the last ending in QUIT,
+// on a fresh server holding the keys k000..k199, and returns every reply
+// byte. Pipelined, each burst is one write and so one batch (each burst
+// must fit a batch); otherwise every request is its own write and no
+// batch forms.
+func serveBursts(t *testing.T, cfg Config, bursts [][][]string, pipelined bool) []byte {
+	t.Helper()
+	srv := newTestServer(t, cfg)
+	for i := 0; i < 200; i++ {
+		srv.put(fmt.Sprintf("k%03d", i))
+	}
+	client, _, served := servePipe(srv)
+	replies := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(client) // until QUIT closes the pipe
+		replies <- b
+	}()
+	requests := 0
+	for _, burst := range bursts {
+		var w strings.Builder
+		for _, req := range burst {
+			requests++
+			if pipelined {
+				w.WriteString(encodeRequest(cfg.Protocol, req))
+			} else if _, err := io.WriteString(client, encodeRequest(cfg.Protocol, req)); err != nil {
+				t.Fatalf("write %q: %v", req, err)
+			}
+		}
+		if pipelined {
+			if _, err := io.WriteString(client, w.String()); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+		}
+	}
+	b := <-replies
+	<-served
+	wantOps, wantBatches := 0, 0
+	if pipelined {
+		wantOps, wantBatches = requests, len(bursts)
+	}
+	if ops, batches := srv.batchedOps.Load(), srv.batches.Load(); ops != int64(wantOps) || batches != int64(wantBatches) {
+		t.Fatalf("pipelined=%v: batched_ops = %d in %d batches, want %d in %d", pipelined, ops, batches, wantOps, wantBatches)
+	}
+	return b
+}
+
 // TestBatchRangesDoNotAlias: every RANGE of a batch appends to the same
 // connection scratch, so one pipelined batch holding several RANGEs —
 // the last one growing the scratch past everything before it —
@@ -145,61 +224,11 @@ func TestBatchRangesDoNotAlias(t *testing.T) {
 		{"RANGE", "k000", "300"}, // every key: far past the scratch so far
 		{"QUIT"},
 	}
-	encode := map[string]func(req []string) string{
-		proto.ProtocolText: func(req []string) string {
-			if req[0] == "SET" {
-				return fmt.Sprintf("SET %s %d\r\n%s\r\n", req[1], len(req[2]), req[2])
-			}
-			return strings.Join(req, " ") + "\r\n"
-		},
-		proto.ProtocolRESP: func(req []string) string {
-			enc := fmt.Sprintf("*%d\r\n", len(req))
-			for _, arg := range req {
-				enc += fmt.Sprintf("$%d\r\n%s\r\n", len(arg), arg)
-			}
-			return enc
-		},
-	}
 	for _, protocol := range []string{proto.ProtocolText, proto.ProtocolRESP} {
 		t.Run(protocol, func(t *testing.T) {
-			// run serves requests on a fresh server, as one write or one
-			// write per request, and returns every reply byte.
-			run := func(oneWrite bool) []byte {
-				srv := newTestServer(t, Config{Backend: BackendSkipList, Mode: "gc", Protocol: protocol})
-				for i := 0; i < 200; i++ {
-					srv.put(fmt.Sprintf("k%03d", i))
-				}
-				client, _, served := servePipe(srv)
-				replies := make(chan []byte)
-				go func() {
-					b, _ := io.ReadAll(client) // until QUIT closes the pipe
-					replies <- b
-				}()
-				var batch strings.Builder
-				for _, req := range requests {
-					if oneWrite {
-						batch.WriteString(encode[protocol](req))
-					} else if _, err := io.WriteString(client, encode[protocol](req)); err != nil {
-						t.Fatalf("write %q: %v", req, err)
-					}
-				}
-				if oneWrite {
-					if _, err := io.WriteString(client, batch.String()); err != nil {
-						t.Fatalf("write: %v", err)
-					}
-				}
-				b := <-replies
-				<-served
-				want := 0
-				if oneWrite {
-					want = len(requests)
-				}
-				if got := srv.batchedOps.Load(); got != int64(want) {
-					t.Fatalf("one write=%v: batched_ops = %d, want %d", oneWrite, got, want)
-				}
-				return b
-			}
-			batched, single := run(true), run(false)
+			cfg := Config{Backend: BackendSkipList, Mode: "gc", Protocol: protocol}
+			batched := serveBursts(t, cfg, [][][]string{requests}, true)
+			single := serveBursts(t, cfg, [][][]string{requests}, false)
 			if string(batched) != string(single) {
 				t.Errorf("pipelined replies differ from one-at-a-time replies:\n got %q\nwant %q", batched, single)
 			}
@@ -207,5 +236,95 @@ func TestBatchRangesDoNotAlias(t *testing.T) {
 				t.Fatalf("one-at-a-time replies miss the batch's writes: %q", single)
 			}
 		})
+	}
+}
+
+// TestBatchGetRunsInRequestOrder: a batch's runs of consecutive GETs are
+// each one store.FindBatch, so runs of 1, 2, 64 and 65 GETs (one
+// readRun of the skip list, and one more) and a whole batch of 256,
+// with SETs and DELETEs of the keys they read between the runs, must
+// answer byte for byte what the same requests answer sent one at a
+// time, on every served backend, mode and protocol.
+func TestBatchGetRunsInRequestOrder(t *testing.T) {
+	gets := func(n, from int) [][]string {
+		run := make([][]string, n)
+		for i := range run {
+			run[i] = []string{"GET", fmt.Sprintf("k%03d", (from+7*i)%230)} // k200.. are misses
+		}
+		return run
+	}
+	whole := gets(maxBatch, 0)
+	var mixed [][]string
+	for _, part := range [][][]string{
+		gets(1, 10),
+		{{"SET", "k010", "new1"}},
+		gets(2, 10),
+		{{"DELETE", "k017"}},
+		gets(64, 10),
+		{{"SET", "k017", "back"}, {"SET", "k206", "fresh"}},
+		gets(65, 3),
+		{{"DELETE", "k010"}},
+		gets(2, 3),
+		{{"QUIT"}},
+	} {
+		mixed = append(mixed, part...)
+	}
+	bursts := [][][]string{whole, mixed}
+	for _, backend := range Backends() {
+		for _, mode := range Modes() {
+			for _, protocol := range []string{proto.ProtocolText, proto.ProtocolRESP} {
+				t.Run(backend+"-"+mode+"-"+protocol, func(t *testing.T) {
+					cfg := Config{Backend: backend, Mode: mode, Protocol: protocol}
+					batched := serveBursts(t, cfg, bursts, true)
+					single := serveBursts(t, cfg, bursts, false)
+					if string(batched) != string(single) {
+						t.Errorf("pipelined replies differ from one-at-a-time replies:\n got %q\nwant %q", batched, single)
+					}
+					for _, v := range []string{"new1", "back", "fresh"} {
+						if !strings.Contains(string(single), v) {
+							t.Fatalf("one-at-a-time replies miss the write of %q: %q", v, single)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestGetRunAllocs: a warm GET run allocates nothing — its keys, values
+// and outcomes go through the connection's scratch, and the skip list's
+// descents live in FindBatch's frame — on every served backend and mode.
+func TestGetRunAllocs(t *testing.T) {
+	if testenv.Race {
+		t.Skip("the race detector allocates on its own")
+	}
+	for _, backend := range Backends() {
+		for _, mode := range Modes() {
+			t.Run(backend+"-"+mode, func(t *testing.T) {
+				s := newTestServer(t, Config{Backend: backend, Mode: mode})
+				for i := 0; i < 4096; i += 2 {
+					s.put(fmt.Sprintf("key-%05d", i))
+				}
+				entries := make([]batchEntry, 96)
+				for i := range entries {
+					entries[i].cmd = proto.Command{Verb: proto.VerbGet, Key: fmt.Sprintf("key-%05d", i*37%4096)}
+				}
+				var sc batchScratch
+				hits := 0
+				got := testing.AllocsPerRun(100, func() {
+					s.execEntries(entries, &sc)
+					hits = 0
+					for i := range entries {
+						if entries[i].found {
+							hits++
+						}
+					}
+					sc.reset()
+				})
+				if got != 0 || hits == 0 || hits == len(entries) {
+					t.Errorf("warm run of %d GETs: %.0f allocs, %d hits; want 0 allocs and both hits and misses", len(entries), got, hits)
+				}
+			})
+		}
 	}
 }

@@ -36,7 +36,7 @@ func TestLogStripeHeldForOneMutation(t *testing.T) {
 	}
 	exec := func(verb proto.Verb, key string) (panicked bool) {
 		defer func() { panicked = recover() != nil }()
-		s.execKeyed(&batchEntry{cmd: proto.Command{Verb: verb, Key: key, Value: []byte("v")}})
+		s.execEntries([]batchEntry{{cmd: proto.Command{Verb: verb, Key: key, Value: []byte("v")}}}, new(batchScratch))
 		return false
 	}
 

@@ -131,7 +131,9 @@ type ordered interface {
 // dictionary (dict.Dictionary) the server calls, and the surface every
 // served backend adds to it.
 type store interface {
-	Find(key string) ([]byte, bool)
+	// FindBatch looks up keys[i] into vals[i] and oks[i], each lookup
+	// linearizing after the one before it.
+	FindBatch(keys []string, vals [][]byte, oks []bool)
 	Upsert(key string, value []byte)
 	Delete(key string) bool
 	// Range streams the live bindings through f until f returns false —
@@ -563,4 +565,23 @@ func (r *rangeScratch) reset() {
 	if cap(r.items) > maxIdleItems {
 		r.items = nil
 	}
+}
+
+// batchScratch is a connection's execution scratch: the RANGE items and
+// the arrays a GET run hands to store.FindBatch, none longer than
+// maxBatch. Like the entries it is touched only by the serving
+// goroutine and cleared after each reply.
+type batchScratch struct {
+	ranges rangeScratch
+	keys   []string
+	vals   [][]byte
+	oks    []bool
+}
+
+// reset drops every reference the batch's GET runs and RANGEs left in
+// the scratch: every run's slots, not only the last run's.
+func (sc *batchScratch) reset() {
+	sc.ranges.reset()
+	clear(sc.keys[:cap(sc.keys)])
+	clear(sc.vals[:cap(sc.vals)])
 }

@@ -55,8 +55,9 @@ func warm(mode mm.Mode, n int) *SkipList[int, int] {
 	return s
 }
 
-// TestOperationAllocs guards the in-frame cursor and predecessor array: a
-// seek allocates nothing, whatever it finds.
+// TestOperationAllocs guards the in-frame cursor and predecessor array,
+// and FindBatch's in-frame descents: a seek allocates nothing, whatever
+// it finds.
 func TestOperationAllocs(t *testing.T) {
 	if testenv.Race {
 		t.Skip("the race detector allocates on its own")
@@ -72,6 +73,20 @@ func TestOperationAllocs(t *testing.T) {
 			})
 			if find > 0 { // parent: 18
 				t.Errorf("Find: %.1f allocs/op, want 0", find)
+			}
+			keys := make([]int, 2*readRun+1)
+			vals, oks := make([]int, len(keys)), make([]bool, len(keys))
+			for _, run := range []int{8, len(keys)} {
+				batch := testing.AllocsPerRun(200, func() {
+					for i := range keys[:run] {
+						keys[i] = k % (2 * n)
+						k += 37
+					}
+					s.FindBatch(keys[:run], vals, oks)
+				})
+				if batch > 0 {
+					t.Errorf("FindBatch of %d keys: %.1f allocs/op, want 0", run, batch)
+				}
 			}
 			taken := 0
 			visit := func(int, int) bool { taken++; return taken < 32 }
@@ -129,6 +144,7 @@ func TestOnePinPerOperation(t *testing.T) {
 		{"Find hit", func() { s.Find(100) }},
 		{"Find miss", func() { s.Find(101) }},
 		{"Find past the end", func() { s.Find(1 << 20) }},
+		{"FindBatch of a run", func() { s.FindBatch([]int{100, 1 << 20, 3, 101}, make([]int, 4), make([]bool, 4)) }},
 		{"Insert new", func() { s.Insert(101, 0) }},
 		{"Insert duplicate", func() { s.Insert(100, 0) }},
 		{"Delete hit", func() { s.Delete(101) }},

@@ -11,18 +11,22 @@
 // bottom-level insertion; the higher levels are an index — towers of cells
 // for the same key connected by Down pointers — that only accelerates the
 // descent. A search walks each level from the closest predecessor found on
-// the level above, following the predecessor cell's Down pointer
-// (Cursor.Seat resumes from a held cell even if it has been deleted,
-// thanks to cell persistence).
+// the level above, following the predecessor cell's Down pointer; it can
+// resume from a held cell even if that cell has been deleted, thanks to
+// cell persistence.
 //
-// Every operation owns one cursor, in its own frame (§2.2: a cursor is a
-// process-private object), and moves it from level to level. The cursor
-// holds the operation's only epoch pin under mm.ModeEBR, so the
-// predecessor cells a descent remembers per level are raw pointers there:
-// cell persistence keeps a deleted predecessor's fields intact, and the
-// grace period keeps it off the free list until the operation's Close
-// unpins. Under mm.ModeRC the remembered predecessors are counted
-// references; under mm.ModeGC the collector keeps them.
+// Writes and RangeFrom own one cursor, in their own frame (§2.2: a cursor
+// is a process-private object), and move it from level to level
+// (Cursor.Seat). Reads need no cursor: Find and FindBatch hold just the
+// predecessor cell per key and step with core's cursorless read step
+// (List.LinksAfter, List.Succ), so a batch can interleave the descents
+// of many keys and overlap their cache misses (see FindBatch). Either way an operation
+// takes one epoch pin under mm.ModeEBR, so the predecessor cells it
+// remembers are raw pointers there: cell persistence keeps a deleted
+// predecessor's fields intact, and the grace period keeps it off the
+// free list until the operation unpins. Under mm.ModeRC the remembered
+// predecessors are counted references; under mm.ModeGC the collector
+// keeps them.
 //
 // Because index levels are hints, an insertion building a tower upward can
 // race a deletion tearing it down top-down. No index cell outlives its
@@ -241,19 +245,131 @@ func (s *SkipList[K, V]) releasePreds(preds []*mm.Node[item[K, V]]) {
 	}
 }
 
-// Find reports the value stored under key. Membership is decided by the
-// bottom level; higher levels only provide the starting point. A hit
-// linearizes at the box load, as in dict.SortedList.Find.
+// Find reports the value stored under key: FindBatch of one key.
 func (s *SkipList[K, V]) Find(key K) (V, bool) {
-	var c core.Cursor[item[K, V]]
-	s.open(&c)
-	defer c.Close()
-	s.descend(&c, key, nil)
-	if t := c.Target(); !c.End() && t.Item.Key == key {
-		return t.Item.val.Load()
+	keys, vals, oks := [1]K{key}, [1]V{}, [1]bool{}
+	s.findRun(keys[:], vals[:], oks[:])
+	return vals[0], oks[0]
+}
+
+// readRun is the most keys FindBatch descends together; longer batches
+// go in runs of this many. A run's descents live in findRun's frame.
+const readRun = 64
+
+// FindBatch looks up keys[i] into vals[i] and oks[i], as if by one Find
+// per key in order: each lookup linearizes after the one before it.
+// vals and oks must be at least as long as keys.
+//
+// The lookups of a run are located together. Phase 1 takes one step of
+// every key's descent per round — on along its level, or down a level
+// once the step finds the level's predecessor — and loads the links of
+// the key's next step (List.LinksAfter) before moving to the next key,
+// so the cache misses of up to readRun independent descents overlap
+// instead of queuing. It ends on each key's bottom-level predecessor and
+// reads no value box, so it decides nothing. Phase 2 then finishes the
+// keys in order, each by walking the bottom level on from its
+// predecessor, reading the links afresh, to the key's cell and loading
+// its box, or to the first larger key: that walk is the lookup's
+// linearization point, exactly as in a lone Find.
+func (s *SkipList[K, V]) FindBatch(keys []K, vals []V, oks []bool) {
+	for len(keys) > readRun {
+		s.findRun(keys[:readRun], vals[:readRun], oks[:readRun])
+		keys, vals, oks = keys[readRun:], vals[readRun:], oks[readRun:]
 	}
-	var zero V
-	return zero, false
+	s.findRun(keys, vals, oks)
+}
+
+// descent is one key's position in FindBatch's phase 1: a held cell of
+// level lvl (a cell with a smaller key, or the level's First) and the
+// links after it, loaded for the next step; or, once lvl is -1, the
+// key's bottom-level predecessor alone.
+type descent[K cmp.Ordered, V any] struct {
+	pred  *mm.Node[item[K, V]]
+	links core.Links[item[K, V]]
+	lvl   int
+}
+
+// findRun is FindBatch for at most readRun keys, under one epoch pin.
+func (s *SkipList[K, V]) findRun(keys []K, vals []V, oks []bool) {
+	var frame [readRun]descent[K, V]
+	ds := frame[:len(keys)]
+	top := s.levels[len(s.levels)-1]
+	g := top.Pin()
+	defer top.Unpin(g)
+	for i := range ds {
+		first := top.First()
+		top.Hold(first)
+		ds[i] = descent[K, V]{pred: first, links: top.LinksAfter(first), lvl: len(s.levels) - 1}
+	}
+	for left := len(ds); left > 0; { // phase 1, one step per key per round
+		for i := range ds {
+			if ds[i].lvl >= 0 && s.step(&ds[i], keys[i]) {
+				left--
+			}
+		}
+	}
+	for i := range ds { // phase 2, in request order
+		vals[i], oks[i] = s.finish(ds[i].pred, keys[i])
+	}
+}
+
+// step takes one step of d's descent toward k: on to the next cell of
+// its level if that cell's key is below k, else down a level from the
+// predecessor it holds, "the closest predecessor found on the level
+// above" (§4.1). It reports whether d has reached its bottom-level
+// predecessor; otherwise it loads the links of d's next step.
+func (s *SkipList[K, V]) step(d *descent[K, V], k K) bool {
+	l := s.levels[d.lvl]
+	t := l.Succ(d.pred, d.links)
+	if t != l.Last() && t.Item.Key < k {
+		l.Unhold(d.pred)
+		d.pred = t
+		d.links = l.LinksAfter(t)
+		return false
+	}
+	l.Unhold(t)
+	if d.lvl == 0 {
+		d.lvl = -1
+		return true
+	}
+	d.lvl--
+	below := s.levels[d.lvl]
+	down := below.First()
+	if d.pred.Kind() == mm.KindCell {
+		down = d.pred.Item.Down // alive while pred is held
+	}
+	// Where Cursor.Seat yields: a concurrent deletion may retire down
+	// before the descent resumes from it.
+	below.Yield()
+	below.Hold(down)
+	l.Unhold(d.pred)
+	d.pred = down
+	d.links = below.LinksAfter(down)
+	return false
+}
+
+// finish is phase 2 of FindBatch for one key: from its bottom-level
+// predecessor p, which it gives up, on to the first cell with key ≥ k.
+// A hit linearizes at the box load, as in dict.SortedList.Find; a miss
+// at the read of the link to a larger key or to Last.
+func (s *SkipList[K, V]) finish(p *mm.Node[item[K, V]], k K) (V, bool) {
+	base := s.levels[0]
+	for {
+		t := base.Succ(p, base.LinksAfter(p))
+		base.Unhold(p)
+		if t != base.Last() && t.Item.Key < k {
+			p = t
+			continue
+		}
+		var v V
+		var ok bool
+		if t != base.Last() && t.Item.Key == k {
+			base.Yield()
+			v, ok = t.Item.val.Load()
+		}
+		base.Unhold(t)
+		return v, ok
+	}
 }
 
 // Insert adds the item if the key is not present, reporting whether it
