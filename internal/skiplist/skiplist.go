@@ -245,11 +245,18 @@ func (s *SkipList[K, V]) releasePreds(preds []*mm.Node[item[K, V]]) {
 	}
 }
 
-// Find reports the value stored under key: FindBatch of one key.
+// Find reports the value stored under key. It is one descent of
+// FindBatch, walked alone: down to the bottom-level predecessor, then on
+// to the key's cell. Membership is decided by the bottom level; higher
+// levels only provide the starting point.
 func (s *SkipList[K, V]) Find(key K) (V, bool) {
-	keys, vals, oks := [1]K{key}, [1]V{}, [1]bool{}
-	s.findRun(keys[:], vals[:], oks[:])
-	return vals[0], oks[0]
+	top := s.levels[len(s.levels)-1]
+	g := top.Pin()
+	defer top.Unpin(g)
+	d := s.start()
+	for !s.step(&d, key) {
+	}
+	return s.finish(d.pred, key)
 }
 
 // readRun is the most keys FindBatch descends together; longer batches
@@ -297,9 +304,7 @@ func (s *SkipList[K, V]) findRun(keys []K, vals []V, oks []bool) {
 	g := top.Pin()
 	defer top.Unpin(g)
 	for i := range ds {
-		first := top.First()
-		top.Hold(first)
-		ds[i] = descent[K, V]{pred: first, links: top.LinksAfter(first), lvl: len(s.levels) - 1}
+		ds[i] = s.start()
 	}
 	for left := len(ds); left > 0; { // phase 1, one step per key per round
 		for i := range ds {
@@ -311,6 +316,14 @@ func (s *SkipList[K, V]) findRun(keys []K, vals []V, oks []bool) {
 	for i := range ds { // phase 2, in request order
 		vals[i], oks[i] = s.finish(ds[i].pred, keys[i])
 	}
+}
+
+// start begins a descent at the top level's First, holding it.
+func (s *SkipList[K, V]) start() descent[K, V] {
+	top := s.levels[len(s.levels)-1]
+	first := top.First()
+	top.Hold(first)
+	return descent[K, V]{pred: first, links: top.LinksAfter(first), lvl: len(s.levels) - 1}
 }
 
 // step takes one step of d's descent toward k: on to the next cell of
