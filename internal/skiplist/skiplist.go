@@ -20,13 +20,13 @@
 // (Cursor.Seat). Reads need no cursor: Find and FindBatch hold just the
 // predecessor cell per key and step with core's cursorless read step
 // (List.LinksAfter, List.Succ), so a batch can interleave the descents
-// of many keys and overlap their cache misses (see FindBatch). Either way an operation
-// takes one epoch pin under mm.ModeEBR, so the predecessor cells it
-// remembers are raw pointers there: cell persistence keeps a deleted
-// predecessor's fields intact, and the grace period keeps it off the
-// free list until the operation unpins. Under mm.ModeRC the remembered
-// predecessors are counted references; under mm.ModeGC the collector
-// keeps them.
+// of many keys and overlap their cache misses (see FindBatch). Either
+// way an operation takes one epoch pin under mm.ModeEBR, so the
+// predecessor cells it remembers are raw pointers there: cell
+// persistence keeps a deleted predecessor's fields intact, and the grace
+// period keeps it off the free list until the operation unpins. Under
+// mm.ModeRC the remembered predecessors are counted references; under
+// mm.ModeGC the collector keeps them.
 //
 // Because index levels are hints, an insertion building a tower upward can
 // race a deletion tearing it down top-down. No index cell outlives its
@@ -286,10 +286,11 @@ func (s *SkipList[K, V]) FindBatch(keys []K, vals []V, oks []bool) {
 	s.findRun(keys, vals, oks)
 }
 
-// descent is one key's position in FindBatch's phase 1: a held cell of
-// level lvl (a cell with a smaller key, or the level's First) and the
-// links after it, loaded for the next step; or, once lvl is -1, the
-// key's bottom-level predecessor alone.
+// descent is one key's position on its way down, in Find or in
+// FindBatch's phase 1: a held cell of level lvl (a cell with a smaller
+// key, or the level's First) and the links after it, loaded for the
+// next step; or, once lvl is -1, the key's bottom-level predecessor
+// alone.
 type descent[K cmp.Ordered, V any] struct {
 	pred  *mm.Node[item[K, V]]
 	links core.Links[item[K, V]]
