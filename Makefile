@@ -8,18 +8,15 @@ FUZZTIME ?= 10s
 # so shrink the stress loops by the same factor (see internal/testenv).
 RACE_STRESS_DIV ?= 10
 
-# Serving defaults: make serve / make loadgen (see scripts/smoke.sh for
-# the scripted end-to-end version CI runs).
+# Serving defaults: make serve / make smoke (scripts/smoke.sh is the
+# scripted end-to-end version CI runs).
 ADDR ?= 127.0.0.1:11311
 BACKEND ?= skiplist
 # gc or ebr
 MODE ?= ebr
-CONNS ?= 64
-LOAD_DURATION ?= 10s
-PROTOCOL ?= text
 
 .PHONY: build test race lint \
-	fuzz-short fmt-check bench-quick serve loadgen smoke chaos durability \
+	fuzz-short fmt-check bench-quick serve smoke chaos durability \
 	bench-build bench-test
 
 build:
@@ -79,19 +76,11 @@ fuzz-short:
 serve:
 	$(GO) run ./cmd/valoisd -addr $(ADDR) -backend $(BACKEND) -mode $(MODE)
 
-# loadgen drives a running valoisd (see `make serve`) closed-loop and
-# exits nonzero on any error. It measures nothing: numbers come from
-# `bash bench/run.sh`.
-loadgen:
-	$(GO) run ./cmd/lfload -addr $(ADDR) -conns $(CONNS) -d $(LOAD_DURATION) \
-		-protocol $(PROTOCOL)
-
-# smoke builds both binaries, boots the server on an ephemeral loopback
-# port, sustains $(CONNS) connections, then checks SIGTERM drains to
-# exit 0.
+# smoke builds valoisd and valoisctl, boots the server on an ephemeral
+# loopback port, round-trips a key over RESP, checks SIGTERM drains to
+# exit 0, then checks a key written with -fsync always survives SIGKILL.
 smoke:
-	SMOKE_CONNS=$(CONNS) SMOKE_BACKEND=$(BACKEND) SMOKE_MODE=$(MODE) \
-		sh scripts/smoke.sh
+	SMOKE_BACKEND=$(BACKEND) SMOKE_MODE=$(MODE) sh scripts/smoke.sh
 
 # durability runs the persistence layer end to end, race-enabled: the
 # AOF/snapshot unit and torn-tail tests, the snapshot-under-mutation

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
 	"strings"
@@ -12,6 +14,8 @@ import (
 	"time"
 
 	"valois/internal/client"
+	"valois/internal/proto"
+	"valois/internal/testenv"
 )
 
 // syncBuffer is a bytes.Buffer safe for the concurrent writes run's
@@ -34,8 +38,10 @@ func (b *syncBuffer) String() string {
 }
 
 // TestRunServesAndDrainsOnSIGTERM boots valoisd on a loopback port, drives
-// it with the client, sends the process SIGTERM, and requires exit code 0
-// — the graceful-drain contract the Makefile smoke target also checks.
+// it with the client, then with loadConns concurrent unpipelined
+// connections (see driveLoad), sends the process SIGTERM, and requires
+// exit code 0 — the graceful-drain contract the Makefile smoke target
+// also checks.
 func TestRunServesAndDrainsOnSIGTERM(t *testing.T) {
 	var logs syncBuffer
 	ready := make(chan net.Addr, 1)
@@ -67,6 +73,8 @@ func TestRunServesAndDrainsOnSIGTERM(t *testing.T) {
 	}
 	c.Close()
 
+	driveLoad(t, addr.String())
+
 	if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
 		t.Fatalf("sending SIGTERM: %v", err)
 	}
@@ -77,6 +85,68 @@ func TestRunServesAndDrainsOnSIGTERM(t *testing.T) {
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatalf("run did not exit after SIGTERM; logs:\n%s", logs.String())
+	}
+}
+
+// loadConns is how many connections driveLoad holds open at once.
+const loadConns = 64
+
+// driveLoad runs loadConns concurrent client connections against the
+// auto-detecting server at addr, alternating text and RESP, each with one
+// operation in flight: a 50/25/25 GET/SET/DELETE mix over a small shared
+// keyspace. Every SET stores the key as its value, so any GET hit must
+// return its own key. Any error or wrong value fails the test.
+func driveLoad(t *testing.T, addr string) {
+	t.Helper()
+	const keySpace = 256
+	ops := testenv.Iters(400)
+	var wg sync.WaitGroup
+	errs := make(chan error, loadConns)
+	for w := 0; w < loadConns; w++ {
+		protocol := proto.ProtocolText
+		if w%2 == 1 {
+			protocol = proto.ProtocolRESP
+		}
+		wg.Add(1)
+		go func(w int, protocol string) {
+			defer wg.Done()
+			c, err := client.Dial(addr, client.Options{Protocol: protocol})
+			if err != nil {
+				errs <- fmt.Errorf("conn %d (%s): dial: %w", w, protocol, err)
+				return
+			}
+			defer c.Close()
+			rng := rand.New(rand.NewSource(int64(w) + 1))
+			for i := 0; i < ops; i++ {
+				key := fmt.Sprintf("key:%04d", rng.Intn(keySpace))
+				switch p := rng.Intn(100); {
+				case p < 50:
+					v, found, err := c.Get(key)
+					if err == nil && found && string(v) != key {
+						err = fmt.Errorf("got value %q", v)
+					}
+					if err != nil {
+						errs <- fmt.Errorf("conn %d (%s): GET %s: %w", w, protocol, key, err)
+						return
+					}
+				case p < 75:
+					if err := c.Set(key, []byte(key)); err != nil {
+						errs <- fmt.Errorf("conn %d (%s): SET %s: %w", w, protocol, key, err)
+						return
+					}
+				default:
+					if _, err := c.Delete(key); err != nil {
+						errs <- fmt.Errorf("conn %d (%s): DELETE %s: %w", w, protocol, key, err)
+						return
+					}
+				}
+			}
+		}(w, protocol)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

@@ -14,7 +14,7 @@
 //	go run ./examples/kvstore
 //
 // To run against a standalone daemon instead: `make serve` in one shell,
-// then point internal/client (or cmd/lfload) at its address.
+// then point internal/client (or cmd/valoisctl) at its address.
 package main
 
 import (

@@ -227,8 +227,8 @@ func (l *List[T]) DisableAuxRemoval() { l.noAuxRemoval = true }
 
 // DisableBackoff turns off the exponential backoff in TryDelete's
 // chain-collapse Compare&Swap retry loop (Figure 10 lines 17–21), leaving
-// the paper's bare loop. For the A1 ablation and the faithful
-// configuration; must be called before the list is shared.
+// the paper's bare loop. For the A1 ablation experiment and the dict
+// stats tests; must be called before the list is shared.
 func (l *List[T]) DisableBackoff() { l.noBackoff = true }
 
 // maybeYield runs the yield hook; called before structural CASes.

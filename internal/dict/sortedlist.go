@@ -51,8 +51,8 @@ func (s *SortedList[K, V]) EnableTorture(period uint32) { s.list.EnableTorture(p
 // DisableBackoff turns off the exponential backoff in the Insert/Delete
 // retry loops (§2.1 recommends backoff for "starvation at high levels of
 // contention"), and in the list-level TryDelete collapse loop. For the A1
-// ablation experiment and the faithful configuration; must be called
-// before the structure is shared.
+// ablation experiment and the stats tests; must be called before the
+// structure is shared.
 func (s *SortedList[K, V]) DisableBackoff() {
 	s.noBackoff = true
 	s.list.DisableBackoff()

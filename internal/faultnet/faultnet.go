@@ -3,7 +3,7 @@
 // latency, partial transfers, byte corruption, slow-loris stalls, and
 // abrupt resets; a net.Listener wrapper that adds accept-time failures;
 // and a loopback Proxy that puts all of it in front of a real server so
-// unmodified clients (internal/client, cmd/lfload) experience an
+// unmodified clients (internal/client, raw sockets) experience an
 // adversarial network.
 //
 // Every fault decision is drawn from a PRNG derived from Faults.Seed and
@@ -339,7 +339,7 @@ func (l *Listener) Addr() net.Addr { return l.ln.Addr() }
 
 // Proxy is a loopback TCP proxy that forwards to a target address with
 // faults injected on the client-facing side of every connection. Clients
-// that dial Proxy.Addr() — internal/client, cmd/lfload, raw sockets —
+// that dial Proxy.Addr() — internal/client, raw sockets —
 // experience the adversarial network without modification; the target
 // server sees clean TCP carrying whatever survived the faults.
 type Proxy struct {
@@ -461,7 +461,7 @@ func (p *Proxy) pump(cc net.Conn) {
 }
 
 // ChaosFaults is the standard linearizability-preserving fault mix used
-// by the chaos suites (internal/server chaos tests, lfload -chaos):
+// by the chaos suites (internal/server's TestChaos* tests):
 // jitter, split frames, mid-command resets, rare slow-loris stalls, and
 // accept-time failures — everything except corruption, which the
 // protocol cannot detect and which therefore invalidates history

@@ -152,7 +152,6 @@ const logStripes = 16
 // ListenAndServe, stop with Shutdown.
 type Server struct {
 	cfg   Config
-	mode  mm.Mode
 	store store
 	// ordered is store's RANGE surface, resolved once in New; nil for
 	// the hash backend.
@@ -253,7 +252,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:      cfg,
-		mode:     mode,
 		store:    st,
 		start:    time.Now(),
 		conns:    make(map[*conn]struct{}),

@@ -6,7 +6,6 @@
 package workload
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
@@ -37,53 +36,6 @@ func Mixed() Mix { return Mix{FindPct: 50, InsertPct: 25, DeletePct: 25} }
 
 // UpdateHeavy is all inserts and deletes.
 func UpdateHeavy() Mix { return Mix{InsertPct: 50, DeletePct: 50} }
-
-// ParseMix resolves a mix from its name — "read-mostly", "mixed", or
-// "update-heavy" — or an explicit "find/insert/delete" percent triple such
-// as "50/25/25". The load generator (cmd/lfload) and tools that share its
-// flags use this so network runs exercise the same mixes as the in-process
-// experiment suite.
-func ParseMix(s string) (Mix, error) {
-	switch s {
-	case "read-mostly":
-		return ReadMostly(), nil
-	case "mixed":
-		return Mixed(), nil
-	case "update-heavy":
-		return UpdateHeavy(), nil
-	}
-	var m Mix
-	if n, err := fmt.Sscanf(s, "%d/%d/%d", &m.FindPct, &m.InsertPct, &m.DeletePct); err != nil || n != 3 {
-		return Mix{}, fmt.Errorf("workload: bad mix %q (want read-mostly, mixed, update-heavy, or F/I/D)", s)
-	}
-	if !m.Valid() {
-		return Mix{}, fmt.Errorf("workload: mix %q does not sum to 100", s)
-	}
-	return m, nil
-}
-
-// ParseDistribution resolves "uniform" or "zipfian".
-func ParseDistribution(s string) (Distribution, error) {
-	switch s {
-	case "uniform":
-		return Uniform, nil
-	case "zipfian":
-		return Zipfian, nil
-	}
-	return 0, fmt.Errorf("workload: bad distribution %q (want uniform or zipfian)", s)
-}
-
-// String returns the distribution's flag spelling.
-func (d Distribution) String() string {
-	switch d {
-	case Uniform:
-		return "uniform"
-	case Zipfian:
-		return "zipfian"
-	default:
-		return "invalid"
-	}
-}
 
 // Distribution selects how keys are drawn from the key space.
 type Distribution int
