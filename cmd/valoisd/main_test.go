@@ -119,26 +119,23 @@ func driveLoad(t *testing.T, addr string) {
 			rng := rand.New(rand.NewSource(int64(w) + 1))
 			for i := 0; i < ops; i++ {
 				key := fmt.Sprintf("key:%04d", rng.Intn(keySpace))
+				var err error
 				switch p := rng.Intn(100); {
 				case p < 50:
-					v, found, err := c.Get(key)
+					var v []byte
+					var found bool
+					v, found, err = c.Get(key)
 					if err == nil && found && string(v) != key {
-						err = fmt.Errorf("got value %q", v)
-					}
-					if err != nil {
-						errs <- fmt.Errorf("conn %d (%s): GET %s: %w", w, protocol, key, err)
-						return
+						err = fmt.Errorf("GET returned %q", v)
 					}
 				case p < 75:
-					if err := c.Set(key, []byte(key)); err != nil {
-						errs <- fmt.Errorf("conn %d (%s): SET %s: %w", w, protocol, key, err)
-						return
-					}
+					err = c.Set(key, []byte(key))
 				default:
-					if _, err := c.Delete(key); err != nil {
-						errs <- fmt.Errorf("conn %d (%s): DELETE %s: %w", w, protocol, key, err)
-						return
-					}
+					_, err = c.Delete(key)
+				}
+				if err != nil {
+					errs <- fmt.Errorf("conn %d (%s), op %d on %s: %w", w, protocol, i, key, err)
+					return
 				}
 			}
 		}(w, protocol)
